@@ -51,7 +51,7 @@ fn dispatch_tree(caps: &CapabilitySet) -> Value {
 /// One phone-side dispatch on the bytecode path: a cache lookup (which
 /// analyzes and compiles on miss) and a VM run of the shared module.
 fn dispatch_vm(caps: &CapabilitySet, cache: &ScriptCache) -> Value {
-    let (prepared, _) = cache.get_or_prepare(SENSING_TASK, false, caps);
+    let (prepared, _) = cache.get_or_prepare(SENSING_TASK, caps);
     let Prepared::Ready(p) = prepared else { panic!("bench task must compile") };
     let mut vm = Vm::with_host(fixed_host());
     vm.run_module(&p.module).expect("bench task runs")

@@ -3,13 +3,14 @@
 //! Fig. 3 of the paper: a Message Handler talks HTTP+binary to the
 //! sensing server; incoming schedule assignments become *task
 //! instances* tracked by the Sensing Task Manager; each task runs its
-//! SenseScript through the Script Interpreter, whose data-acquisition
+//! SenseScript through the script interpreter, whose data-acquisition
 //! calls are routed by the Sensor Manager to per-sensor Providers; the
 //! Local Preference Manager lets the phone's owner veto individual
 //! sensors (e.g. never expose GPS fixes).
 //!
 //! This crate wires those exact components: [`sor_proto`] is the message
-//! handler's codec, [`sor_script`] the interpreter, [`sor_sensors`] the
+//! handler's codec, [`sor_script`]'s optimizing bytecode VM (behind a
+//! compilation cache) the script interpreter, [`sor_sensors`] the
 //! sensor manager/providers, and [`MobileFrontend`] the task manager
 //! that drives scripts at their scheduled sense times and emits
 //! [`sor_proto::Message::SensedDataUpload`]s.
@@ -46,8 +47,8 @@ pub mod preferences;
 pub mod task;
 
 pub use phone::MobileFrontend;
+pub use preferences::LocalPreferenceManager;
 // Re-exported so deployments (the sim world) can share one compilation
 // cache across a phone fleet without depending on `sor-script` directly.
-pub use preferences::LocalPreferenceManager;
 pub use sor_script::ScriptCache;
 pub use task::{TaskInstance, TaskStatus};

@@ -4,15 +4,14 @@
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use sor_obs::{Recorder, SpaceSaving, SpanId};
 use sor_proto::{Message, SensedRecord, TraceContext};
-use sor_script::analysis::{analyze, analyze_block, CapabilitySet, Cost};
+use sor_script::analysis::CapabilitySet;
+use sor_script::bytecode::PreparedScript;
 use sor_script::interp::DEFAULT_BUDGET;
-use sor_script::optimize::optimize;
-use sor_script::parser::parse;
-use sor_script::{CacheOutcome, HostRegistry, Interpreter, Prepared, ScriptCache, Value, Vm};
+use sor_script::{CacheOutcome, HostRegistry, Prepared, ScriptCache, Value, Vm};
 use sor_sensors::{SensorKind, SensorManager};
 
 use crate::preferences::LocalPreferenceManager;
@@ -26,11 +25,9 @@ pub struct MobileFrontend {
     tasks: Vec<TaskInstance>,
     now: f64,
     recorder: Recorder,
-    script_opt: bool,
-    script_vm: bool,
-    /// Compilation cache for the bytecode path. Defaults to a private
-    /// per-phone cache; the simulation world replaces it with one
-    /// shared handle so the whole fleet compiles each script once.
+    /// Compilation cache every script run draws from. Defaults to the
+    /// process-wide cache; the simulation world replaces it with its
+    /// own fleet handle so its cache counters are per world.
     script_cache: ScriptCache,
     /// O(k) heavy-hitter sketch over this phone's script runs, keyed by
     /// task and weighted by instructions executed — bounded per-user
@@ -51,17 +48,11 @@ impl std::fmt::Debug for MobileFrontend {
 impl MobileFrontend {
     /// A phone with the given device token and sensor stack.
     ///
-    /// The script optimizer defaults to the `SOR_SCRIPT_OPT`
-    /// environment variable (`1`/`true`/`on` enables it); use
-    /// [`MobileFrontend::set_script_optimizer`] to override per phone.
-    /// The bytecode engine likewise defaults to `SOR_SCRIPT_VM`; see
-    /// [`MobileFrontend::set_script_vm`].
+    /// Its script cache is a handle to one process-wide
+    /// [`ScriptCache`], so every phone built here compiles a shared
+    /// script once; [`MobileFrontend::set_script_cache`] swaps it.
     pub fn new(token: u64, manager: SensorManager) -> Self {
-        let knob = |name: &str| {
-            std::env::var(name)
-                .map(|v| matches!(v.to_ascii_lowercase().as_str(), "1" | "true" | "on"))
-                .unwrap_or(false)
-        };
+        static SHARED_CACHE: OnceLock<ScriptCache> = OnceLock::new();
         MobileFrontend {
             token,
             manager: Arc::new(manager),
@@ -69,40 +60,18 @@ impl MobileFrontend {
             tasks: Vec::new(),
             now: 0.0,
             recorder: Recorder::disabled(),
-            script_opt: knob("SOR_SCRIPT_OPT"),
-            script_vm: knob("SOR_SCRIPT_VM"),
-            script_cache: ScriptCache::new(),
+            script_cache: SHARED_CACHE.get_or_init(ScriptCache::new).clone(),
             hot_scripts: SpaceSaving::new(8),
         }
     }
 
     /// The phone's hot-script sketch: which tasks burned the most
-    /// interpreter instructions on this device (top-8, O(k) memory).
+    /// script instructions on this device (top-8, O(k) memory).
     pub fn hot_scripts(&self) -> &SpaceSaving {
         &self.hot_scripts
     }
 
-    /// Enables or disables the AST optimizer for script runs. When on,
-    /// scripts execute through [`sor_script::optimize`] (constant
-    /// folding, dead-branch pruning, dead-store elimination) and the
-    /// rewrite counts plus statically proven instruction savings are
-    /// reported under `script.opt_*` metrics.
-    pub fn set_script_optimizer(&mut self, on: bool) {
-        self.script_opt = on;
-    }
-
-    /// Enables or disables the bytecode engine for script runs. When
-    /// on, scripts are compiled (through the phone's [`ScriptCache`])
-    /// and executed on [`sor_script::Vm`] with the static analyzer's
-    /// cost bound wired in as the fuel limit; the tree-walking
-    /// interpreter is bypassed entirely. Observable behaviour is
-    /// identical — the `optdiff` gate holds values, error kinds and
-    /// instruction counts equal across engines.
-    pub fn set_script_vm(&mut self, on: bool) {
-        self.script_vm = on;
-    }
-
-    /// Replaces this phone's compilation cache with a shared handle
+    /// Replaces this phone's compilation cache with another handle
     /// (clones of one [`ScriptCache`] share storage), so a fleet of
     /// phones dispatched the same script compiles it exactly once.
     pub fn set_script_cache(&mut self, cache: ScriptCache) {
@@ -242,11 +211,6 @@ impl MobileFrontend {
         let mut out = Vec::new();
         let manager = Arc::clone(&self.manager);
         let recorder = self.recorder.clone();
-        let engine = EngineConfig {
-            script_opt: self.script_opt,
-            script_vm: self.script_vm,
-            cache: self.script_cache.clone(),
-        };
         let allowed: HashSet<SensorKind> =
             SensorKind::ALL.iter().copied().filter(|&k| self.prefs.is_allowed(k)).collect();
         for task in &mut self.tasks {
@@ -268,7 +232,7 @@ impl MobileFrontend {
                     recorder.span_attr_with(span, "trace_id", || c.trace_id.to_string());
                 }
                 recorder.count("script.runs_started", 1);
-                match execute_script(&task.script, due, &manager, &allowed, &engine) {
+                match execute_script(&task.script, due, &manager, &allowed, &self.script_cache) {
                     Ok(run) => {
                         record_script_run(&recorder, span, &run);
                         recorder.span_end(span, due);
@@ -292,9 +256,7 @@ impl MobileFrontend {
                     Err(failure) => {
                         // Cache traffic happened even when the run did
                         // not (e.g. a cached static rejection).
-                        if let Some(outcome) = &failure.cache {
-                            record_cache_outcome(&recorder, outcome);
-                        }
+                        record_cache_outcome(&recorder, &failure.cache);
                         recorder.count("script.runs_failed", 1);
                         recorder.span_attr(span, "error", &failure.message);
                         recorder.span_end(span, due);
@@ -309,8 +271,6 @@ impl MobileFrontend {
             if task.status == TaskStatus::Finished {
                 out.push((Message::TaskComplete { task_id: task.task_id, status: 0 }, task.origin));
                 recorder.count("phone.tasks_finished", 1);
-                // Mark so we do not re-announce completion next sweep.
-                task.status = TaskStatus::Finished;
             }
             // Empty schedules complete immediately.
             if task.status == TaskStatus::Pending && task.sense_times.is_empty() {
@@ -319,9 +279,6 @@ impl MobileFrontend {
                 out.push((Message::TaskComplete { task_id: task.task_id, status: 0 }, task.origin));
             }
         }
-        // Drop finished tasks that have announced completion... keep them
-        // for inspection but avoid duplicate TaskComplete by tracking the
-        // announced state through `next`.
         self.update_queue_gauges();
         out
     }
@@ -345,7 +302,7 @@ impl MobileFrontend {
 }
 
 /// Data-acquisition vocabulary: script function name → sensor kind.
-/// This is the whitelist the interpreter enforces (§II-A).
+/// This is the whitelist the script engine enforces (§II-A).
 const ACQUISITION_FNS: &[(&str, SensorKind)] = &[
     ("get_temperature_readings", SensorKind::Temperature),
     ("get_humidity_readings", SensorKind::Humidity),
@@ -358,49 +315,22 @@ const ACQUISITION_FNS: &[(&str, SensorKind)] = &[
     ("get_compass_readings", SensorKind::Compass),
 ];
 
-/// Which execution engine a phone runs scripts on, plus the shared
-/// compilation cache the bytecode path draws from.
-struct EngineConfig {
-    script_opt: bool,
-    script_vm: bool,
-    cache: ScriptCache,
-}
-
 /// What one script execution produced, plus the cost evidence the
-/// observability layer reports: the engine's exact instruction
-/// count and the analyzer's static bound for the same script.
+/// observability layer reports: the VM's exact instruction count and
+/// the cached compilation's static bounds and optimizer statistics.
 struct ScriptRun {
     records: Vec<SensedRecord>,
     instructions_used: u64,
-    /// `analyze`'s static cost bound, when the script is bounded.
-    static_bound: Option<u64>,
-    /// Optimizer evidence, when the run executed the lowered program.
-    opt: Option<OptRun>,
-    /// Cache bookkeeping, when the run went through the bytecode VM.
-    vm: Option<CacheOutcome>,
+    prepared: Arc<PreparedScript>,
+    cache: CacheOutcome,
 }
 
 /// A failed script execution. Carries the cache outcome separately so
 /// hit/miss counters survive runs that never produce a `ScriptRun`
-/// (static rejections, runtime errors on the VM path).
+/// (static rejections, runtime errors).
 struct ScriptFailure {
     message: String,
-    cache: Option<CacheOutcome>,
-}
-
-impl From<String> for ScriptFailure {
-    fn from(message: String) -> Self {
-        ScriptFailure { message, cache: None }
-    }
-}
-
-/// What the optimizer did to one script before execution.
-struct OptRun {
-    /// Individual rewrites applied (folds, prunes, removals).
-    rewrites: u64,
-    /// `bound(original) - bound(lowered)`, when both are finite: the
-    /// statically proven instruction saving.
-    bound_saved: Option<u64>,
+    cache: CacheOutcome,
 }
 
 /// Records one successful script run's metrics: instruction usage and
@@ -416,25 +346,21 @@ fn record_script_run(recorder: &Recorder, span: SpanId, run: &ScriptRun) {
             recorder.count_labeled("phone.sensor_acquired", kind.metric_label(), 1);
         }
     }
-    if let Some(bound) = run.static_bound {
+    let prepared = &run.prepared;
+    if let Some(bound) = prepared.static_bound {
         recorder.span_attr_with(span, "static_bound", || bound.to_string());
         if run.instructions_used > 0 {
             recorder
                 .observe("script.bound_over_measured", bound as f64 / run.instructions_used as f64);
         }
     }
-    if let Some(opt) = &run.opt {
-        recorder.count("script.opt_runs", 1);
-        recorder.count("script.opt_rewrites", opt.rewrites);
-        recorder.span_attr_with(span, "opt_rewrites", || opt.rewrites.to_string());
-        if let Some(saved) = opt.bound_saved {
-            recorder.count("script.opt_bound_saved", saved);
-        }
+    recorder.count("script.opt_rewrites", prepared.opt_rewrites);
+    recorder.span_attr_with(span, "opt_rewrites", || prepared.opt_rewrites.to_string());
+    if let Some(saved) = prepared.bound_saved {
+        recorder.count("script.opt_bound_saved", saved);
     }
-    if let Some(outcome) = &run.vm {
-        recorder.count("script.vm_runs", 1);
-        record_cache_outcome(recorder, outcome);
-    }
+    recorder.count("script.vm_runs", 1);
+    record_cache_outcome(recorder, &run.cache);
 }
 
 /// Records one compilation-cache lookup's traffic.
@@ -450,8 +376,8 @@ fn record_cache_outcome(recorder: &Recorder, outcome: &CacheOutcome) {
 
 /// Builds the host registry binding the data-acquisition vocabulary to
 /// the sensor manager and the shared record sink. Engine-agnostic: the
-/// same registry drives both the tree-walking interpreter and the
-/// bytecode VM.
+/// phone runs it on the bytecode VM, and tests run the same registry
+/// on the reference tree-walker.
 fn build_host(
     base_time: f64,
     manager: &Arc<SensorManager>,
@@ -526,85 +452,32 @@ fn build_host(
     host
 }
 
-/// Runs one script execution at wall-clock `base_time`, returning the
-/// records it acquired.
+/// Runs one script execution at wall-clock `base_time`: the
+/// analyze→optimize→compile pipeline runs (or hits) `cache`, then the
+/// module executes on the VM with the compiled program's static cost
+/// bound wired in as the fuel limit.
 fn execute_script(
     script: &str,
     base_time: f64,
     manager: &Arc<SensorManager>,
     allowed: &HashSet<SensorKind>,
-    engine: &EngineConfig,
+    cache: &ScriptCache,
 ) -> Result<ScriptRun, ScriptFailure> {
     let records: Rc<RefCell<Vec<SensedRecord>>> = Rc::new(RefCell::new(Vec::new()));
     let host = build_host(base_time, manager, allowed, &records);
     // The phone does not trust the server's admission check: analysis
-    // re-runs against the exact host registry this run executes under.
+    // runs against the exact host registry this run executes under (its
+    // vocabulary is part of the cache key).
     let caps = CapabilitySet::from_registry(&host);
-
-    if engine.script_vm {
-        return execute_on_vm(script, host, records, engine, &caps);
-    }
-
-    let mut interp = Interpreter::with_host(host);
-
-    // Pre-execution re-verification. An error-severity finding means
-    // the run is statically doomed, so no sensing effort is spent on it.
-    let verdict = analyze(script, &caps);
-    if verdict.has_errors() {
-        let findings: Vec<String> = verdict.errors().map(ToString::to_string).collect();
-        return Err(format!("script rejected before execution: {}", findings.join("; ")).into());
-    }
-    let static_bound = match verdict.cost {
-        Cost::Bounded(n) => Some(n),
-        Cost::Unbounded => None,
-    };
-
-    // Behind the optimizer knob, the lowered AST runs instead of the
-    // source; the lowering is semantics-preserving (see `optdiff`), so
-    // the original's static bound still dominates the measured count.
-    let (run_result, opt) = if engine.script_opt {
-        // `verdict` carried no E001, so the script is known to parse.
-        let block = parse(script).map_err(|e| e.to_string())?;
-        let (lowered, stats) = optimize(&block);
-        let bound_saved = match (static_bound, analyze_block(&lowered, &caps, verdict.budget).cost)
-        {
-            (Some(orig), Cost::Bounded(opt)) => Some(orig.saturating_sub(opt)),
-            _ => None,
-        };
-        let opt = OptRun { rewrites: stats.total() as u64, bound_saved };
-        (interp.run_block(&lowered).map_err(|e| e.to_string()), Some(opt))
-    } else {
-        (interp.run(script).map_err(|e| e.to_string()), None)
-    };
-    let instructions_used = interp.instructions_used();
-    drop(interp); // releases the host closures' Rc clones
-    run_result?;
-    let records = Rc::try_unwrap(records)
-        .expect("all other Rc holders dropped with the interpreter")
-        .into_inner();
-    Ok(ScriptRun { records, instructions_used, static_bound, opt, vm: None })
-}
-
-/// The bytecode path: the analyze→optimize→compile pipeline runs (or
-/// hits) the shared [`ScriptCache`], then the module executes on the
-/// VM with the compiled program's static cost bound wired in as the
-/// fuel limit.
-fn execute_on_vm(
-    script: &str,
-    host: HostRegistry,
-    records: Rc<RefCell<Vec<SensedRecord>>>,
-    engine: &EngineConfig,
-    caps: &CapabilitySet,
-) -> Result<ScriptRun, ScriptFailure> {
-    let (prepared, outcome) = engine.cache.get_or_prepare(script, engine.script_opt, caps);
+    let (prepared, outcome) = cache.get_or_prepare(script, &caps);
     let prepared = match prepared {
         Prepared::Ready(p) => p,
-        // Cached static rejection: same refusal (and message) as the
-        // tree-walking path, without re-running the analyzer.
+        // An error-severity finding means the run is statically doomed,
+        // so no sensing effort is spent on it.
         Prepared::Rejected(findings) => {
             return Err(ScriptFailure {
                 message: format!("script rejected before execution: {findings}"),
-                cache: Some(outcome),
+                cache: outcome,
             });
         }
     };
@@ -613,36 +486,29 @@ fn execute_on_vm(
     // Fuel: the analyzer's bound for the program as compiled, clamped
     // to the interpreter's default budget. The bound is sound (it
     // dominates any dynamic instruction count), so a script the
-    // tree-walker completes can never run out of fuel here — the
-    // vm_corpus suite pins that across the whole lint corpus.
+    // reference tree-walker completes can never run out of fuel here —
+    // the vm_corpus suite pins that across the whole lint corpus.
     vm.set_budget(prepared.exec_bound.unwrap_or(u64::MAX).min(DEFAULT_BUDGET));
     let run_result = vm.run_module(&prepared.module);
     let instructions_used = vm.instructions_used();
     drop(vm); // releases the host closures' Rc clones
     if let Err(e) = run_result {
-        return Err(ScriptFailure { message: e.to_string(), cache: Some(outcome) });
+        return Err(ScriptFailure { message: e.to_string(), cache: outcome });
     }
     let records =
         Rc::try_unwrap(records).expect("all other Rc holders dropped with the vm").into_inner();
-    let opt = prepared
-        .optimized
-        .then(|| OptRun { rewrites: prepared.opt_rewrites, bound_saved: prepared.bound_saved });
-    Ok(ScriptRun {
-        records,
-        instructions_used,
-        static_bound: prepared.static_bound,
-        opt,
-        vm: Some(outcome),
-    })
+    Ok(ScriptRun { records, instructions_used, prepared, cache: outcome })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sor_script::analysis::analyze;
+    use sor_script::Interpreter;
     use sor_sensors::environment::presets;
     use sor_sensors::SimulatedProvider;
 
-    fn phone() -> MobileFrontend {
+    fn sensor_stack() -> SensorManager {
         let env = Arc::new(presets::bn_cafe(3));
         let mut mgr = SensorManager::new();
         for kind in [
@@ -655,7 +521,43 @@ mod tests {
         ] {
             mgr.register(SimulatedProvider::new(kind, env.clone()));
         }
-        MobileFrontend::new(42, mgr)
+        mgr
+    }
+
+    /// A phone with a private script cache: tests run in parallel and
+    /// would otherwise share the process-wide cache's counters.
+    fn phone() -> MobileFrontend {
+        let mut p = MobileFrontend::new(42, sensor_stack());
+        p.set_script_cache(ScriptCache::new());
+        p
+    }
+
+    /// The reference tree-walker running the raw source `src` at
+    /// `base_time` on `p`'s sensors and privacy preferences: its result,
+    /// the sensing calls it recorded, and its instruction count.
+    fn reference_run(
+        p: &MobileFrontend,
+        src: &str,
+        base_time: f64,
+    ) -> (Result<(), String>, Vec<SensedRecord>, u64) {
+        let allowed = SensorKind::ALL.iter().copied().filter(|&k| p.prefs.is_allowed(k)).collect();
+        let records = Rc::new(RefCell::new(Vec::new()));
+        let mut interp =
+            Interpreter::with_host(build_host(base_time, &p.manager, &allowed, &records));
+        let result = interp.run(src).map(drop).map_err(|e| e.to_string());
+        let used = interp.instructions_used();
+        drop(interp);
+        (result, Rc::try_unwrap(records).expect("interpreter dropped").into_inner(), used)
+    }
+
+    fn uploaded_records(out: &[Message]) -> Vec<SensedRecord> {
+        out.iter()
+            .filter_map(|m| match m {
+                Message::SensedDataUpload { records, .. } => Some(records.clone()),
+                _ => None,
+            })
+            .flatten()
+            .collect()
     }
 
     fn assign(phone: &mut MobileFrontend, id: u64, script: &str, times: Vec<f64>) {
@@ -728,52 +630,7 @@ mod tests {
     }
 
     #[test]
-    fn optimizer_knob_preserves_results_and_reports_savings() {
-        let script = r#"
-            local t = get_temperature_readings(4)
-            local scale = 2 * 3 - 5
-            if 1 > 2 then
-                t = nil
-            end
-            return mean(t) * scale
-        "#;
-        // Same script, optimizer off vs on: identical upload payloads,
-        // strictly fewer instructions, and `script.opt_*` metrics.
-        let mut plain = phone();
-        let rec_plain = Recorder::enabled();
-        plain.set_recorder(rec_plain.clone());
-        assign(&mut plain, 1, script, vec![1.0]);
-        let out_plain = plain.advance_to(2.0);
-
-        let mut opt = phone();
-        let rec_opt = Recorder::enabled();
-        opt.set_recorder(rec_opt.clone());
-        opt.set_script_optimizer(true);
-        assign(&mut opt, 1, script, vec![1.0]);
-        let out_opt = opt.advance_to(2.0);
-
-        let Message::SensedDataUpload { records: plain_records, .. } = &out_plain[0] else {
-            panic!("{out_plain:?}")
-        };
-        let Message::SensedDataUpload { records: opt_records, .. } = &out_opt[0] else {
-            panic!("{out_opt:?}")
-        };
-        assert_eq!(plain_records, opt_records, "optimizer changed the sensed data");
-        assert_eq!(opt.task(1).unwrap().status, TaskStatus::Finished);
-
-        assert_eq!(rec_plain.counter("script.opt_runs"), 0);
-        assert_eq!(rec_opt.counter("script.opt_runs"), 1);
-        assert!(rec_opt.counter("script.opt_rewrites") > 0, "folds + pruned branch expected");
-        assert!(rec_opt.counter("script.opt_bound_saved") > 0);
-        assert!(
-            rec_opt.counter("script.instructions_used")
-                < rec_plain.counter("script.instructions_used"),
-            "optimized run should execute fewer instructions"
-        );
-    }
-
-    #[test]
-    fn vm_knob_preserves_results_and_counts_cache_traffic() {
+    fn repeat_runs_compile_once_then_hit_the_cache() {
         let script = r#"
             local t = get_temperature_readings(4)
             local sum = 0
@@ -782,33 +639,93 @@ mod tests {
             end
             return sum / #t
         "#;
-        let mut tree = phone();
-        let rec_tree = Recorder::enabled();
-        tree.set_recorder(rec_tree.clone());
-        assign(&mut tree, 1, script, vec![1.0, 2.0, 3.0]);
-        let out_tree = tree.advance_to(4.0);
+        let mut p = phone();
+        let rec = Recorder::enabled();
+        p.set_recorder(rec.clone());
+        assign(&mut p, 1, script, vec![1.0, 2.0, 3.0]);
+        let out = p.advance_to(4.0);
+        assert!(matches!(out.last(), Some(Message::TaskComplete { status: 0, .. })), "{out:?}");
 
-        let mut vm = phone();
-        let rec_vm = Recorder::enabled();
-        vm.set_recorder(rec_vm.clone());
-        vm.set_script_vm(true);
-        assign(&mut vm, 1, script, vec![1.0, 2.0, 3.0]);
-        let out_vm = vm.advance_to(4.0);
-
-        assert_eq!(out_tree, out_vm, "engines must produce identical uploads and completions");
-        assert_eq!(
-            rec_tree.counter("script.instructions_used"),
-            rec_vm.counter("script.instructions_used"),
-            "instruction counts must agree across engines"
-        );
-
-        assert_eq!(rec_tree.counter("script.vm_runs"), 0);
-        assert_eq!(rec_vm.counter("script.vm_runs"), 3);
+        assert_eq!(rec.counter("script.vm_runs"), 3);
         // One compile on first dispatch, then cache hits.
-        assert_eq!(rec_vm.counter("script.cache_misses"), 1);
-        assert_eq!(rec_vm.counter("script.compile_runs"), 1);
-        assert_eq!(rec_vm.counter("script.cache_hits"), 2);
-        assert_eq!(rec_vm.counter("script.cache_evictions"), 0);
+        assert_eq!(rec.counter("script.cache_misses"), 1);
+        assert_eq!(rec.counter("script.compile_runs"), 1);
+        assert_eq!(rec.counter("script.cache_hits"), 2);
+        assert_eq!(rec.counter("script.cache_evictions"), 0);
+    }
+
+    #[test]
+    fn phones_built_with_new_share_one_process_cache() {
+        // A script no other test dispatches, so no parallel test can
+        // have compiled it into the process-wide cache first.
+        let script = "return mean(get_light_readings(2)) -- process cache probe";
+        let rec = Recorder::enabled();
+        for token in [1, 2] {
+            let mut p = MobileFrontend::new(token, sensor_stack());
+            p.set_recorder(rec.clone());
+            assign(&mut p, 1, script, vec![1.0]);
+            p.advance_to(2.0);
+        }
+        assert_eq!(rec.counter("script.compile_runs"), 1, "second phone must reuse the compile");
+        assert_eq!(rec.counter("script.cache_hits"), 1);
+    }
+
+    #[test]
+    fn uploads_match_reference_interpreter_on_lint_corpus() {
+        // `optdiff` compares values and errors, not host side effects:
+        // here every admissible corpus script must make exactly the
+        // sensing calls, in order, that the reference tree-walker makes
+        // running the raw source at the same base time.
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/lint_corpus");
+        let mut scripts: Vec<(String, String)> = std::fs::read_dir(dir)
+            .expect("lint corpus exists")
+            .map(|e| e.expect("corpus entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "ss"))
+            .map(|p| {
+                let src = std::fs::read_to_string(&p).expect("corpus script readable");
+                (p.display().to_string(), src)
+            })
+            .collect();
+        scripts.sort();
+        // Corpus scripts that complete acquire at most once; these two
+        // add ordered multi-sensor calls, one through optimizer rewrites.
+        let multi_sensor = r#"
+            get_temperature_readings(5)
+            get_light_readings(5)
+            get_noise_readings(10)
+            get_wifi_readings(5)
+        "#;
+        let optimized_loop = r#"
+            local t = get_temperature_readings(4)
+            if 1 > 2 then t = nil end
+            get_location()
+            for i = 1, 3 do get_light_readings(i) end
+            return mean(t)
+        "#;
+        scripts.push(("multi-sensor".into(), multi_sensor.into()));
+        scripts.push(("optimized loop".into(), optimized_loop.into()));
+        let mut with_records = 0;
+        for (name, src) in &scripts {
+            if analyze(src, &CapabilitySet::standard_sensing()).has_errors() {
+                continue;
+            }
+            let mut p = phone();
+            assign(&mut p, 1, src, vec![10.0]);
+            let uploaded = uploaded_records(&p.advance_to(11.0));
+            let status = &p.task(1).unwrap().status;
+            match reference_run(&p, src, 10.0) {
+                (Ok(()), records, _) => {
+                    assert_eq!(uploaded, records, "{name}");
+                    assert_eq!(*status, TaskStatus::Finished, "{name}");
+                    with_records += usize::from(!records.is_empty());
+                }
+                (Err(e), _, _) => {
+                    assert!(uploaded.is_empty(), "{name}: {e}");
+                    assert!(matches!(status, TaskStatus::Error(_)), "{name}: {e}");
+                }
+            }
+        }
+        assert!(with_records >= 5, "too few scripts produced records: {with_records}");
     }
 
     #[test]
@@ -820,7 +737,6 @@ mod tests {
         for token in 0..4 {
             let mut p = phone();
             p.set_recorder(rec.clone());
-            p.set_script_vm(true);
             p.set_script_cache(cache.clone());
             assign(&mut p, 100 + token, script, vec![1.0]);
             p.advance_to(2.0);
@@ -834,36 +750,24 @@ mod tests {
     }
 
     #[test]
-    fn optimizer_flip_misses_the_cache() {
-        let script = "local scale = 2 * 3\nreturn scale";
-        let mut p = phone();
-        p.set_script_vm(true);
-        assign(&mut p, 1, script, vec![1.0]);
-        p.advance_to(2.0);
-        // Flip the optimizer knob: the cached unoptimized module must
-        // not serve the optimized configuration.
-        p.set_script_optimizer(true);
-        assign(&mut p, 2, script, vec![3.0]);
-        p.advance_to(4.0);
-        let stats = p.script_cache().stats();
-        assert_eq!(stats.misses, 2, "opt flip must recompile");
-        assert_eq!(stats.hits, 0);
-        assert_eq!(p.script_cache().len(), 2);
-    }
-
-    #[test]
     fn vm_rejection_matches_tree_walker_and_counts_cache() {
+        let src = "get_light_readings(1)\nsteal_contacts()";
         let rec = Recorder::enabled();
         let mut p = phone();
         p.set_recorder(rec.clone());
-        p.set_script_vm(true);
-        assign(&mut p, 8, "get_light_readings(1)\nsteal_contacts()", vec![1.0]);
+        assign(&mut p, 8, src, vec![1.0]);
         let out = p.advance_to(2.0);
         assert!(!out.iter().any(|m| matches!(m, Message::SensedDataUpload { .. })), "{out:?}");
         let TaskStatus::Error(msg) = &p.task(8).unwrap().status else { panic!() };
-        assert!(msg.contains("rejected before execution"), "{msg}");
+        // The same refusal the tree-walker path gave: the analyzer's
+        // error findings, joined.
+        let findings: Vec<String> = analyze(src, &CapabilitySet::standard_sensing())
+            .errors()
+            .map(ToString::to_string)
+            .collect();
+        assert_eq!(*msg, format!("script rejected before execution: {}", findings.join("; ")));
         // The rejection itself is cached; a re-dispatch hits it.
-        assign(&mut p, 9, "get_light_readings(1)\nsteal_contacts()", vec![3.0]);
+        assign(&mut p, 9, src, vec![3.0]);
         p.advance_to(4.0);
         assert_eq!(rec.counter("script.cache_misses"), 1);
         assert_eq!(rec.counter("script.cache_hits"), 1);
@@ -877,7 +781,6 @@ mod tests {
         let rec = Recorder::enabled();
         let mut p = phone();
         p.set_recorder(rec.clone());
-        p.set_script_vm(true);
         assign(&mut p, 1, "return mean(get_light_readings(2))", vec![1.0, 2.0]);
         p.advance_to(3.0);
         let m = rec.metrics_snapshot().unwrap();
@@ -893,7 +796,6 @@ mod tests {
     #[test]
     fn vm_runtime_error_fails_the_task_like_the_tree_walker() {
         let mut p = phone();
-        p.set_script_vm(true);
         assign(&mut p, 4, "error('sensor exploded')", vec![1.0]);
         let out = p.advance_to(2.0);
         assert!(matches!(out[0], Message::TaskComplete { task_id: 4, status: 1 }));
@@ -906,8 +808,6 @@ mod tests {
         let rec = Recorder::enabled();
         let mut p = phone();
         p.set_recorder(rec.clone());
-        p.set_script_vm(true);
-        p.set_script_optimizer(true);
         let script = r#"
             local t = get_temperature_readings(4)
             local scale = 2 * 3 - 5
@@ -919,10 +819,18 @@ mod tests {
         assign(&mut p, 1, script, vec![1.0]);
         let out = p.advance_to(2.0);
         assert!(matches!(out.last(), Some(Message::TaskComplete { status: 0, .. })), "{out:?}");
-        assert_eq!(rec.counter("script.opt_runs"), 1);
-        assert!(rec.counter("script.opt_rewrites") > 0);
+        assert!(rec.counter("script.opt_rewrites") > 0, "folds + pruned branch expected");
         assert!(rec.counter("script.opt_bound_saved") > 0);
         assert_eq!(rec.counter("script.vm_runs"), 1);
+        // Same sensed data as the unoptimized source on the reference
+        // tree-walker, in strictly fewer instructions.
+        let (result, records, reference_used) = reference_run(&p, script, 1.0);
+        result.unwrap();
+        assert_eq!(uploaded_records(&out), records, "optimizer changed the sensed data");
+        assert!(
+            rec.counter("script.instructions_used") < reference_used,
+            "optimized run should execute fewer instructions"
+        );
     }
 
     #[test]

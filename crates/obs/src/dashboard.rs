@@ -17,8 +17,8 @@
 //!   windows with `^`/`v`/`=` arrows;
 //! - **sampler** — the tail-sampler's keep/drop accounting;
 //! - **script engine** — bytecode VM runs and the compilation cache's
-//!   hit rate (absent counters render as a note, not an error: the
-//!   tree-walking engine exports none of them);
+//!   hit rate (absent counters render as a note, not an error: a run
+//!   without script executions exports none of them);
 //! - **scheduler** — replan counts labelled by solver, marginal-gain
 //!   evaluations per replan, and the CELF heap/bound/repair traffic
 //!   (`sched.*` counters exported by the server's replan loop);
@@ -257,7 +257,7 @@ pub fn render_dashboard(
     let misses = counter("script.cache_misses");
     let lookups = hits + misses;
     if lookups == 0.0 && counter("script.vm_runs") == 0.0 {
-        out.push_str("  (no bytecode-engine counters; SOR_SCRIPT_VM off or tree-walker run)\n");
+        out.push_str("  (no script runs)\n");
     } else {
         out.push_str(&format!(
             "  vm runs: {}  compiles: {}\n",
@@ -372,9 +372,9 @@ mod tests {
         }
         // No sched counters in the sample inputs either.
         assert!(d1.contains("no scheduler counters exported"), "{d1}");
-        // No VM counters in the sample inputs: the section degrades to
-        // an explanatory note instead of a 0/0 hit rate.
-        assert!(d1.contains("no bytecode-engine counters"), "{d1}");
+        // No script counters in the sample inputs: the section degrades
+        // to an explanatory note instead of a 0/0 hit rate.
+        assert!(d1.contains("no script runs"), "{d1}");
         // The child stage nests under its parent stage.
         assert!(d1.contains("server.rank  x1"), "{d1}");
         assert!(d1.contains("  server.rank_request  x1"), "{d1}");

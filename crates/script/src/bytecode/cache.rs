@@ -3,10 +3,10 @@
 //! The sensing server dispatches the *same* script text to every phone
 //! in a schedule, so without a cache each phone re-parses, re-analyzes
 //! and re-compiles an identical program per dispatch. The cache keys
-//! on an FNV fingerprint of the source text, the optimizer flag, and
-//! the capability vocabulary (the same collision-safe
-//! fingerprint-plus-verify pattern as the server's rank cache), holds
-//! `Arc`-shared [`CompiledModule`]s, and evicts least-recently-used
+//! on an FNV fingerprint of the source text and the capability
+//! vocabulary (the same collision-safe fingerprint-plus-verify pattern
+//! as the server's rank cache), holds `Arc`-shared
+//! [`CompiledModule`]s, and evicts least-recently-used
 //! entries at a bounded capacity — adversarial many-unique-script
 //! loads cannot grow it past its configured size.
 //!
@@ -56,22 +56,18 @@ fn caps_fingerprint(caps: &CapabilitySet) -> u64 {
 /// compile time.
 #[derive(Debug)]
 pub struct PreparedScript {
-    /// The compiled program (of the optimized lowering when the
-    /// optimizer flag was on).
+    /// The compiled program: the optimizer's lowering of the source.
     pub module: Arc<CompiledModule>,
     /// The analyzer's cost bound for the *original* source, when
     /// bounded — the figure reported to observability.
     pub static_bound: Option<u64>,
-    /// The cost bound of the program as compiled (post-optimizer when
-    /// optimizing, else identical to `static_bound`) — the sound fuel
-    /// limit for the VM.
+    /// The cost bound of the program as compiled (post-optimizer) —
+    /// the sound fuel limit for the VM.
     pub exec_bound: Option<u64>,
-    /// Optimizer rewrites applied (0 when the flag was off).
+    /// Optimizer rewrites applied.
     pub opt_rewrites: u64,
     /// `bound(original) - bound(lowered)` when both are finite.
     pub bound_saved: Option<u64>,
-    /// Whether the optimizer produced this module.
-    pub optimized: bool,
 }
 
 /// A cache lookup result: a runnable module or a cached static
@@ -114,7 +110,6 @@ struct Slot {
     /// Full key material, verified on hit: an FNV collision must never
     /// run the wrong program.
     src: String,
-    optimized: bool,
     caps_fp: u64,
     prepared: Prepared,
     last_used: u64,
@@ -171,21 +166,13 @@ impl ScriptCache {
     }
 
     /// Looks up (or analyzes, optimizes and compiles) `src` under the
-    /// given optimizer flag and capability vocabulary. Preparation runs
-    /// under the cache lock, so concurrent phones dispatching the same
-    /// script compile it exactly once and the hit/miss counters are
-    /// deterministic regardless of thread count.
-    pub fn get_or_prepare(
-        &self,
-        src: &str,
-        optimize_flag: bool,
-        caps: &CapabilitySet,
-    ) -> (Prepared, CacheOutcome) {
+    /// given capability vocabulary. Preparation runs under the cache
+    /// lock, so concurrent phones dispatching the same script compile
+    /// it exactly once and the hit/miss counters are deterministic
+    /// regardless of thread count.
+    pub fn get_or_prepare(&self, src: &str, caps: &CapabilitySet) -> (Prepared, CacheOutcome) {
         let caps_fp = caps_fingerprint(caps);
-        let key = fnv1a(
-            &caps_fp.to_le_bytes(),
-            fnv1a(&[u8::from(optimize_flag)], fnv1a(src.as_bytes(), FNV_OFFSET)),
-        );
+        let key = fnv1a(&caps_fp.to_le_bytes(), fnv1a(src.as_bytes(), FNV_OFFSET));
         let mut guard = self.inner.lock().expect("script cache poisoned");
         let inner = &mut *guard;
         inner.tick += 1;
@@ -193,7 +180,7 @@ impl ScriptCache {
 
         if let Some(idx) = inner.slots.iter().position(|s| s.key == key) {
             let slot = &mut inner.slots[idx];
-            if slot.src == src && slot.optimized == optimize_flag && slot.caps_fp == caps_fp {
+            if slot.src == src && slot.caps_fp == caps_fp {
                 slot.last_used = tick;
                 let prepared = slot.prepared.clone();
                 inner.stats.hits += 1;
@@ -206,7 +193,7 @@ impl ScriptCache {
         }
 
         inner.stats.misses += 1;
-        let prepared = prepare(src, optimize_flag, caps);
+        let prepared = prepare(src, caps);
         let compiled = matches!(prepared, Prepared::Ready(_));
         if compiled {
             inner.stats.compiles += 1;
@@ -228,7 +215,6 @@ impl ScriptCache {
         inner.slots.push(Slot {
             key,
             src: src.to_string(),
-            optimized: optimize_flag,
             caps_fp,
             prepared: prepared.clone(),
             last_used: tick,
@@ -257,10 +243,9 @@ impl ScriptCache {
     }
 }
 
-/// The compile pipeline: analyze → (reject | parse → optionally
-/// optimize → compile), with the static cost bounds captured alongside
-/// the module.
-fn prepare(src: &str, optimize_flag: bool, caps: &CapabilitySet) -> Prepared {
+/// The compile pipeline: analyze → (reject | parse → optimize →
+/// compile), with the static cost bounds captured alongside the module.
+fn prepare(src: &str, caps: &CapabilitySet) -> Prepared {
     let verdict = analyze(src, caps);
     if verdict.has_errors() {
         let findings: Vec<String> = verdict.errors().map(ToString::to_string).collect();
@@ -275,27 +260,21 @@ fn prepare(src: &str, optimize_flag: bool, caps: &CapabilitySet) -> Prepared {
         // a parse failure must stay a rejection, not a panic.
         return Prepared::Rejected(Arc::from("script failed to parse"));
     };
-    let (module, exec_bound, opt_rewrites, bound_saved) = if optimize_flag {
-        let (lowered, stats) = optimize(&block);
-        let exec_bound = match analyze_block(&lowered, caps, verdict.budget).cost {
-            Cost::Bounded(n) => Some(n),
-            Cost::Unbounded => None,
-        };
-        let bound_saved = match (static_bound, exec_bound) {
-            (Some(orig), Some(opt)) => Some(orig.saturating_sub(opt)),
-            _ => None,
-        };
-        (compile(&lowered), exec_bound, stats.total() as u64, bound_saved)
-    } else {
-        (compile(&block), static_bound, 0, None)
+    let (lowered, stats) = optimize(&block);
+    let exec_bound = match analyze_block(&lowered, caps, verdict.budget).cost {
+        Cost::Bounded(n) => Some(n),
+        Cost::Unbounded => None,
+    };
+    let bound_saved = match (static_bound, exec_bound) {
+        (Some(orig), Some(opt)) => Some(orig.saturating_sub(opt)),
+        _ => None,
     };
     Prepared::Ready(Arc::new(PreparedScript {
-        module: Arc::new(module),
+        module: Arc::new(compile(&lowered)),
         static_bound,
         exec_bound,
-        opt_rewrites,
+        opt_rewrites: stats.total() as u64,
         bound_saved,
-        optimized: optimize_flag,
     }))
 }
 
@@ -310,8 +289,8 @@ mod tests {
     #[test]
     fn second_lookup_hits_and_shares_the_module() {
         let cache = ScriptCache::new();
-        let (first, o1) = cache.get_or_prepare("return 1 + 1", false, &caps());
-        let (second, o2) = cache.get_or_prepare("return 1 + 1", false, &caps());
+        let (first, o1) = cache.get_or_prepare("return 1 + 1", &caps());
+        let (second, o2) = cache.get_or_prepare("return 1 + 1", &caps());
         assert!(!o1.hit && o1.compiled);
         assert!(o2.hit && !o2.compiled);
         let (Prepared::Ready(a), Prepared::Ready(b)) = (&first, &second) else {
@@ -322,24 +301,11 @@ mod tests {
     }
 
     #[test]
-    fn optimizer_flag_separates_entries() {
-        let cache = ScriptCache::new();
-        let src = "local scale = 2 * 3\nreturn scale";
-        let (_, a) = cache.get_or_prepare(src, false, &caps());
-        let (_, b) = cache.get_or_prepare(src, true, &caps());
-        assert!(!a.hit && !b.hit, "flag flip must not hit the other entry");
-        assert_eq!(cache.len(), 2);
-        let (Prepared::Ready(opt), _) = cache.get_or_prepare(src, true, &caps()) else { panic!() };
-        assert!(opt.optimized);
-        assert!(opt.opt_rewrites > 0, "constant fold expected");
-    }
-
-    #[test]
     fn capability_vocabulary_separates_entries() {
         let cache = ScriptCache::new();
         let src = "return 1";
-        cache.get_or_prepare(src, false, &caps());
-        let (_, o) = cache.get_or_prepare(src, false, &CapabilitySet::new());
+        cache.get_or_prepare(src, &caps());
+        let (_, o) = cache.get_or_prepare(src, &CapabilitySet::new());
         assert!(!o.hit, "different capabilities must not share entries");
     }
 
@@ -347,8 +313,8 @@ mod tests {
     fn rejected_scripts_are_cached_rejections() {
         let cache = ScriptCache::new();
         let src = "steal_contacts()";
-        let (first, o1) = cache.get_or_prepare(src, false, &caps());
-        let (second, o2) = cache.get_or_prepare(src, false, &caps());
+        let (first, o1) = cache.get_or_prepare(src, &caps());
+        let (second, o2) = cache.get_or_prepare(src, &caps());
         assert!(matches!(first, Prepared::Rejected(_)));
         assert!(matches!(second, Prepared::Rejected(_)));
         assert!(!o1.compiled, "rejections never reach the compiler");
@@ -360,7 +326,7 @@ mod tests {
     fn adversarial_unique_scripts_stay_bounded() {
         let cache = ScriptCache::with_capacity(8);
         for i in 0..1_000 {
-            cache.get_or_prepare(&format!("return {i}"), false, &caps());
+            cache.get_or_prepare(&format!("return {i}"), &caps());
             assert!(cache.len() <= 8, "cache grew past capacity at {i}");
         }
         let stats = cache.stats();
@@ -372,14 +338,14 @@ mod tests {
     #[test]
     fn eviction_is_least_recently_used() {
         let cache = ScriptCache::with_capacity(2);
-        cache.get_or_prepare("return 1", false, &caps());
-        cache.get_or_prepare("return 2", false, &caps());
+        cache.get_or_prepare("return 1", &caps());
+        cache.get_or_prepare("return 2", &caps());
         // Touch 1 so 2 becomes the LRU victim.
-        cache.get_or_prepare("return 1", false, &caps());
-        cache.get_or_prepare("return 3", false, &caps());
-        let (_, o1) = cache.get_or_prepare("return 1", false, &caps());
+        cache.get_or_prepare("return 1", &caps());
+        cache.get_or_prepare("return 3", &caps());
+        let (_, o1) = cache.get_or_prepare("return 1", &caps());
         assert!(o1.hit, "recently used entry survived");
-        let (_, o2) = cache.get_or_prepare("return 2", false, &caps());
+        let (_, o2) = cache.get_or_prepare("return 2", &caps());
         assert!(!o2.hit, "LRU entry was evicted");
     }
 
@@ -387,7 +353,8 @@ mod tests {
     fn bounds_cover_the_executed_program() {
         let cache = ScriptCache::new();
         let src = "local scale = 2 * 3 - 5\nif 1 > 2 then return 0 end\nreturn scale";
-        let (Prepared::Ready(p), _) = cache.get_or_prepare(src, true, &caps()) else { panic!() };
+        let (Prepared::Ready(p), _) = cache.get_or_prepare(src, &caps()) else { panic!() };
+        assert!(p.opt_rewrites > 0, "folds + pruned branch expected");
         let (orig, exec) = (p.static_bound.unwrap(), p.exec_bound.unwrap());
         assert!(exec <= orig, "optimized bound must not exceed the original");
         assert_eq!(p.bound_saved, Some(orig - exec));
@@ -396,7 +363,7 @@ mod tests {
     #[test]
     fn clear_empties_but_keeps_counters() {
         let cache = ScriptCache::new();
-        cache.get_or_prepare("return 1", false, &caps());
+        cache.get_or_prepare("return 1", &caps());
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats().misses, 1);

@@ -15,8 +15,8 @@
 //!    is a **fuel limit** the frontend clamps to the static analyzer's
 //!    cost bound.
 //! 3. [`ScriptCache`] memoises the whole analyze→optimize→compile
-//!    pipeline keyed by source text, optimizer flag and capability
-//!    vocabulary, so a fleet of phones compiles each script once.
+//!    pipeline keyed by source text and capability vocabulary, so a
+//!    fleet of phones compiles each script once.
 //!
 //! The `optdiff` binary cross-checks all three engines (tree-walker,
 //! optimized tree-walker, VM) over the lint corpus and fails CI on any

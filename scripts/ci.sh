@@ -20,6 +20,10 @@ run cargo build --release --offline --workspace
 # change what any test observes, only how fast it runs.
 run env SOR_THREADS=1 cargo test -q --offline --workspace
 run env SOR_THREADS=4 cargo test -q --offline --workspace
+# The benchmark is a package of its own: its smoke test runs every
+# workload at --smoke and requires the same output digest at
+# SOR_THREADS=1 and 2.
+run cargo test -q --offline --manifest-path sorbench/Cargo.toml
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 run cargo fmt --check
 
