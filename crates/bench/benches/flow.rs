@@ -4,7 +4,7 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sor_flow::assignment::{solve, Backend};
+use sor_flow::{assignment, hungarian};
 
 fn cost_matrix(n: usize) -> Vec<Vec<i64>> {
     let mut state = 0x0123_4567_89AB_CDEFu64;
@@ -27,10 +27,10 @@ fn bench_backends(c: &mut Criterion) {
     for n in [5usize, 20, 50, 100] {
         let cost = cost_matrix(n);
         g.bench_with_input(BenchmarkId::new("mincost_flow", n), &cost, |b, cost| {
-            b.iter(|| black_box(solve(cost, Backend::MinCostFlow).unwrap()))
+            b.iter(|| black_box(assignment::solve(cost).unwrap()))
         });
         g.bench_with_input(BenchmarkId::new("hungarian", n), &cost, |b, cost| {
-            b.iter(|| black_box(solve(cost, Backend::Hungarian).unwrap()))
+            b.iter(|| black_box(hungarian::solve(cost).unwrap()))
         });
     }
     g.finish();

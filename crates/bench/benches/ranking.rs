@@ -32,7 +32,6 @@ fn bench_aggregation_methods(c: &mut Criterion) {
     let (r, w) = rankings(8, 5);
     for (name, method) in [
         ("footrule_flow", AggregationMethod::FootruleFlow),
-        ("footrule_hungarian", AggregationMethod::FootruleHungarian),
         ("kemeny_exact", AggregationMethod::KemenyExact),
         ("borda", AggregationMethod::Borda),
     ] {
@@ -47,9 +46,6 @@ fn bench_place_scaling(c: &mut Criterion) {
         let (r, w) = rankings(n, 5);
         g.bench_with_input(BenchmarkId::new("footrule_flow", n), &n, |b, _| {
             b.iter(|| black_box(aggregate(&r, &w, AggregationMethod::FootruleFlow).unwrap()))
-        });
-        g.bench_with_input(BenchmarkId::new("footrule_hungarian", n), &n, |b, _| {
-            b.iter(|| black_box(aggregate(&r, &w, AggregationMethod::FootruleHungarian).unwrap()))
         });
     }
     g.finish();

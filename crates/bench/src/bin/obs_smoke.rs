@@ -23,6 +23,7 @@ fn main() {
     let out = run_coffee_field_test_traced(FieldTestConfig::quick(3), rec.clone())
         .expect("field test runs");
     check(out.stats.uploads_accepted > 0, "field test accepted uploads");
+    check(out.stats.decode_failures == 0, "no frames lost integrity");
 
     let metrics_json = rec.metrics_json().expect("enabled recorder exports metrics");
     check(parse_json(&metrics_json).is_ok(), "metrics JSON snapshot parses");
@@ -46,7 +47,9 @@ fn main() {
 
     let report = rec.report().unwrap();
     check(report.contains("server.process_data"), "report covers data processing spans");
-    check(out.health.is_some(), "traced field test grades its SLO catalog");
+    let health = out.health.as_ref();
+    check(health.is_some(), "traced field test grades its SLO catalog");
+    check(health.is_some_and(|h| h.healthy()), "SLO health grade passes");
     check(out.alerts.is_empty(), "healthy baseline run fires no SLO alerts");
 
     // A digest over both exports: byte-identical run to run, and across

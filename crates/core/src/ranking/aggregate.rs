@@ -8,7 +8,7 @@
 //! ranking is found exactly as a min-cost perfect matching between
 //! places and rank positions on the auxiliary flow graph of §IV-B.
 
-use sor_flow::assignment::{self, Backend};
+use sor_flow::assignment;
 
 use crate::ranking::distance::{footrule_distance, kemeny_distance, Ranking};
 use crate::CoreError;
@@ -25,9 +25,6 @@ pub enum AggregationMethod {
     /// The paper's method: weighted-footrule-optimal via min-cost flow.
     #[default]
     FootruleFlow,
-    /// Same objective solved with the Hungarian algorithm (identical
-    /// output, different solver — used for cross-validation/ablation).
-    FootruleHungarian,
     /// The paper's method followed by *local Kemenization*: adjacent
     /// transpositions are applied while they reduce the weighted Kemeny
     /// distance. Never worse than `FootruleFlow` under κ_K (so the 2×
@@ -100,14 +97,9 @@ pub fn aggregate(
         return Ok(Ranking::identity(0));
     }
     match method {
-        AggregationMethod::FootruleFlow => {
-            footrule_optimal(rankings, weights, n, Backend::MinCostFlow)
-        }
-        AggregationMethod::FootruleHungarian => {
-            footrule_optimal(rankings, weights, n, Backend::Hungarian)
-        }
+        AggregationMethod::FootruleFlow => footrule_optimal(rankings, weights, n),
         AggregationMethod::FootruleKemenized => {
-            let base = footrule_optimal(rankings, weights, n, Backend::MinCostFlow)?;
+            let base = footrule_optimal(rankings, weights, n)?;
             Ok(local_kemenize(base, rankings, weights))
         }
         AggregationMethod::KemenyExact => kemeny_exact(rankings, weights, n),
@@ -153,13 +145,19 @@ fn local_kemenize(r: Ranking, rankings: &[Ranking], weights: &[f64]) -> Ranking 
 }
 
 /// Exact weighted-footrule aggregation: the §IV-B flow construction.
+fn footrule_optimal(rankings: &[Ranking], weights: &[f64], n: usize) -> Result<Ranking, CoreError> {
+    let sol = assignment::solve(&footrule_cost(rankings, weights, n))?;
+    // sol.assignment[i] = position of place i; invert to an order.
+    let mut order = vec![0usize; n];
+    for (place, &pos) in sol.assignment.iter().enumerate() {
+        order[pos] = place;
+    }
+    Ranking::from_order(order)
+}
+
+/// The fixed-point assignment costs
 /// `cost(place i → position p) = Σ_j w_j · |π(i, R_j) − p|`.
-fn footrule_optimal(
-    rankings: &[Ranking],
-    weights: &[f64],
-    n: usize,
-    backend: Backend,
-) -> Result<Ranking, CoreError> {
+fn footrule_cost(rankings: &[Ranking], weights: &[f64], n: usize) -> Vec<Vec<i64>> {
     use crate::ranking::feature::PlaceId;
     let mut cost = vec![vec![0i64; n]; n];
     for (i, row) in cost.iter_mut().enumerate() {
@@ -172,13 +170,7 @@ fn footrule_optimal(
             *cell = (c * COST_SCALE).round() as i64;
         }
     }
-    let sol = assignment::solve(&cost, backend)?;
-    // sol.assignment[i] = position of place i; invert to an order.
-    let mut order = vec![0usize; n];
-    for (place, &pos) in sol.assignment.iter().enumerate() {
-        order[pos] = place;
-    }
-    Ranking::from_order(order)
+    cost
 }
 
 /// Exact weighted Kemeny aggregation by bitmask DP over place subsets.
@@ -296,7 +288,6 @@ mod tests {
         let weights = vec![1.0, 2.0, 5.0];
         for method in [
             AggregationMethod::FootruleFlow,
-            AggregationMethod::FootruleHungarian,
             AggregationMethod::KemenyExact,
             AggregationMethod::Borda,
         ] {
@@ -391,11 +382,13 @@ mod tests {
     fn flow_and_hungarian_agree_on_cost() {
         let rankings = vec![rk(&[4, 2, 0, 1, 3]), rk(&[0, 1, 2, 3, 4]), rk(&[1, 0, 3, 2, 4])];
         let weights = vec![3.0, 2.0, 4.0];
-        let a = aggregate(&rankings, &weights, AggregationMethod::FootruleFlow).unwrap();
-        let b = aggregate(&rankings, &weights, AggregationMethod::FootruleHungarian).unwrap();
-        let ca = weighted_footrule(&a, &rankings, &weights);
-        let cb = weighted_footrule(&b, &rankings, &weights);
-        assert!((ca - cb).abs() < 1e-9);
+        let flow = aggregate(&rankings, &weights, AggregationMethod::FootruleFlow).unwrap();
+        // The Hungarian oracle on the same cost matrix; integer weights
+        // make the fixed-point cost exact.
+        let (_, hungarian) = sor_flow::hungarian::solve(&footrule_cost(&rankings, &weights, 5))
+            .expect("square matrix");
+        let flow_cost = weighted_footrule(&flow, &rankings, &weights);
+        assert_eq!(flow_cost, hungarian as f64 / COST_SCALE);
     }
 
     #[test]

@@ -285,7 +285,6 @@ mod tests {
         let h = coffee_matrix();
         for method in [
             AggregationMethod::FootruleFlow,
-            AggregationMethod::FootruleHungarian,
             AggregationMethod::KemenyExact,
             AggregationMethod::Borda,
         ] {

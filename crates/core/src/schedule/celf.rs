@@ -1,5 +1,5 @@
-//! Shared CELF machinery: the stale-bound max-heap entry and the user
-//! attribution rule.
+//! Shared CELF machinery: the stale-bound max-heap entry, the user
+//! attribution rule, and the pop/refresh/commit loop itself.
 //!
 //! Both the batch lazy solver ([`crate::schedule::lazy_greedy`]) and the
 //! incremental online planner ([`crate::schedule::online`]) must produce
@@ -12,10 +12,17 @@
 //! - **User attribution**: among present users with budget left, most
 //!   remaining budget, ties toward the *smallest* user id
 //!   ([`attribute_user`]).
+//!
+//! The two solvers differ only in how they fill the heap; both then
+//! drain it with [`run`].
 
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
-use crate::schedule::UserId;
+use crate::coverage::CoverageState;
+use crate::matroid::SenseAction;
+use crate::schedule::{GreedyStats, UserId};
+use crate::time::InstantId;
 
 /// Max-heap entry: a cached marginal-gain bound for one instant.
 ///
@@ -67,6 +74,54 @@ pub(crate) fn attribute_user(users: &[UserId], remaining: &[usize]) -> UserId {
         .filter(|u| remaining[u.0] > 0)
         .max_by_key(|u| (remaining[u.0], std::cmp::Reverse(u.0)))
         .expect("feasibility was just checked")
+}
+
+/// Drains a CELF heap: pops the best bound, refreshes it when stale,
+/// and commits it when exact, until no feasible instant is left.
+/// Returns the committed actions in selection order.
+///
+/// Selection round 0 starts from `state` as given. An entry is exact
+/// when its `round` equals the current round; anything else is a valid
+/// upper bound that is re-evaluated on pop. `on_round0_gain(i, gain)`
+/// sees every gain refreshed in round 0, i.e. evaluated against the
+/// starting state before any commit. Feasibility (a present user with
+/// budget left) only shrinks, so infeasible pops are dropped for good.
+pub(crate) fn run(
+    mut heap: BinaryHeap<Entry>,
+    state: &mut CoverageState,
+    users_at: &[Vec<UserId>],
+    remaining: &mut [usize],
+    stats: &mut GreedyStats,
+    mut on_round0_gain: impl FnMut(usize, f64),
+) -> Vec<SenseAction> {
+    let mut round = 0usize;
+    let mut actions = Vec::new();
+    while let Some(top) = heap.pop() {
+        stats.heap_pops += 1;
+        let i = top.instant;
+        if !users_at[i].iter().any(|u| remaining[u.0] > 0) {
+            continue; // permanently infeasible: budgets never regrow
+        }
+        if top.round != round {
+            // Stale bound: refresh and push back.
+            let gain = state.marginal_gain(InstantId(i));
+            stats.gain_evaluations += 1;
+            stats.bound_reinserts += 1;
+            if round == 0 {
+                on_round0_gain(i, gain);
+            }
+            heap.push(Entry { gain, instant: i, round });
+            continue;
+        }
+        // Exact and maximal: commit.
+        let user = attribute_user(&users_at[i], remaining);
+        remaining[user.0] -= 1;
+        state.add(InstantId(i));
+        actions.push(SenseAction { user, instant: i });
+        round += 1;
+        stats.iterations += 1;
+    }
+    actions
 }
 
 #[cfg(test)]

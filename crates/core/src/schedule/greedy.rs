@@ -12,7 +12,7 @@
 
 use crate::matroid::SenseAction;
 use crate::schedule::celf::attribute_user;
-use crate::schedule::{Schedule, ScheduleProblem, UserId};
+use crate::schedule::{Schedule, ScheduleProblem};
 use crate::time::InstantId;
 
 /// Work counters for one greedy run, reported so callers can expose
@@ -29,9 +29,6 @@ pub struct GreedyStats {
     pub heap_pops: u64,
     /// Stale bounds refreshed and pushed back into the CELF heap.
     pub bound_reinserts: u64,
-    /// Incremental repairs: replans that reused persisted bounds instead
-    /// of re-evaluating every candidate from scratch.
-    pub incremental_repairs: u64,
     /// Reschedules triggered by churn events (online scheduler only).
     pub replans: u64,
 }
@@ -44,7 +41,6 @@ impl GreedyStats {
         self.gain_evaluations += other.gain_evaluations;
         self.heap_pops += other.heap_pops;
         self.bound_reinserts += other.bound_reinserts;
-        self.incremental_repairs += other.incremental_repairs;
         self.replans += other.replans;
     }
 }
@@ -61,8 +57,8 @@ pub fn greedy(problem: &ScheduleProblem) -> Schedule {
 
 /// Plain greedy starting from pre-existing coverage: the instants in
 /// `seed` are treated as already measured (they consume no budget and
-/// are not re-selectable). Used by the online scheduler to plan the
-/// future around an executed prefix.
+/// are not re-selectable). The online scheduler's reference plan uses
+/// it to plan the future around an executed prefix.
 pub fn greedy_seeded(problem: &ScheduleProblem, seed: &[InstantId]) -> Schedule {
     greedy_seeded_stats(problem, seed).0
 }
@@ -74,21 +70,7 @@ pub fn greedy_seeded_stats(
 ) -> (Schedule, GreedyStats) {
     let mut stats = GreedyStats::default();
     let n = problem.grid().len();
-    // Remaining budget per user id (dense).
-    let matroid = problem.matroid();
-    let mut remaining: Vec<usize> =
-        (0..problem.participants().iter().map(|p| p.user.0 + 1).max().unwrap_or(0))
-            .map(|u| matroid.budget_of(UserId(u)))
-            .collect();
-
-    // users_at[i]: participants whose stay covers instant i.
-    let mut users_at: Vec<Vec<UserId>> = vec![Vec::new(); n];
-    for p in problem.participants() {
-        for i in problem.tk(p.user) {
-            users_at[i].push(p.user);
-        }
-    }
-
+    let (mut remaining, users_at) = problem.budgets_and_presence();
     let mut taken = vec![false; n];
     let mut state = problem.coverage_state();
     for &s in seed {
@@ -135,7 +117,7 @@ pub fn greedy_seeded_stats(
 mod tests {
     use super::*;
     use crate::coverage::{GaussianCoverage, TriangularCoverage};
-    use crate::schedule::Participant;
+    use crate::schedule::{Participant, UserId};
     use crate::time::TimeGrid;
 
     fn simple_problem(budgets: &[(f64, f64, usize)]) -> ScheduleProblem {

@@ -11,16 +11,15 @@
 //! present user with budget) also only shrinks, so infeasible pops are
 //! discarded permanently.
 //!
-//! The shared tie-breaking rules live in [`crate::schedule::celf`]; the
-//! online scheduler's incremental planner reuses them so all solvers
-//! stay bit-identical to plain greedy.
+//! The loop and its tie-breaking rules live in [`crate::schedule::celf`];
+//! the online scheduler's incremental planner runs the same loop, so
+//! both stay bit-identical to plain greedy.
 
 use std::collections::BinaryHeap;
 
-use crate::matroid::SenseAction;
-use crate::schedule::celf::{attribute_user, Entry};
+use crate::schedule::celf::{self, Entry};
 use crate::schedule::greedy::GreedyStats;
-use crate::schedule::{Schedule, ScheduleProblem, UserId};
+use crate::schedule::{Schedule, ScheduleProblem};
 use crate::time::InstantId;
 
 /// Minimum feasible-instant count before the first-round gain sweep
@@ -41,22 +40,8 @@ pub fn lazy_greedy(problem: &ScheduleProblem) -> Schedule {
 pub fn lazy_greedy_stats(problem: &ScheduleProblem) -> (Schedule, GreedyStats) {
     let mut stats = GreedyStats::default();
     let n = problem.grid().len();
-    let matroid = problem.matroid();
-    let mut remaining: Vec<usize> =
-        (0..problem.participants().iter().map(|p| p.user.0 + 1).max().unwrap_or(0))
-            .map(|u| matroid.budget_of(UserId(u)))
-            .collect();
-
-    let mut users_at: Vec<Vec<UserId>> = vec![Vec::new(); n];
-    for p in problem.participants() {
-        for i in problem.tk(p.user) {
-            users_at[i].push(p.user);
-        }
-    }
-
+    let (mut remaining, users_at) = problem.budgets_and_presence();
     let mut state = problem.coverage_state();
-    let mut schedule = Schedule::new();
-    let mut round = 0usize;
 
     // First round: every feasible instant needs a gain bound, and the
     // empty-solution gains are independent reads of `state`, so they
@@ -68,42 +53,21 @@ pub fn lazy_greedy_stats(problem: &ScheduleProblem) -> (Schedule, GreedyStats) {
         state.marginal_gain(InstantId(i))
     });
     stats.gain_evaluations += feasible.len() as u64;
-    let mut heap: BinaryHeap<Entry> = feasible
+    let heap: BinaryHeap<Entry> = feasible
         .iter()
         .zip(&gains)
-        .map(|(&instant, &gain)| Entry { gain, instant, round })
+        .map(|(&instant, &gain)| Entry { gain, instant, round: 0 })
         .collect();
 
-    while let Some(top) = heap.pop() {
-        stats.heap_pops += 1;
-        let i = top.instant;
-        if !users_at[i].iter().any(|u| remaining[u.0] > 0) {
-            continue; // permanently infeasible: budgets never regrow
-        }
-        if top.round != round {
-            // Stale bound: refresh and push back.
-            let gain = state.marginal_gain(InstantId(i));
-            stats.gain_evaluations += 1;
-            stats.bound_reinserts += 1;
-            heap.push(Entry { gain, instant: i, round });
-            continue;
-        }
-        // Exact and maximal: commit.
-        let user = attribute_user(&users_at[i], &remaining);
-        remaining[user.0] -= 1;
-        state.add(InstantId(i));
-        schedule.push(SenseAction { user, instant: i });
-        round += 1;
-        stats.iterations += 1;
-    }
-    (schedule, stats)
+    let actions = celf::run(heap, &mut state, &users_at, &mut remaining, &mut stats, |_, _| {});
+    (Schedule::from_actions(actions), stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coverage::GaussianCoverage;
-    use crate::schedule::{greedy, DecayCurve, Participant};
+    use crate::schedule::{greedy, DecayCurve, Participant, UserId};
     use crate::time::TimeGrid;
 
     fn problem(n: usize, users: &[(f64, f64, usize)]) -> ScheduleProblem {
@@ -205,8 +169,7 @@ mod tests {
         // Evaluations = first-round sweep + one per reinsert.
         assert_eq!(stats.gain_evaluations, 50 + stats.bound_reinserts);
         assert_eq!(s.len() as u64, stats.iterations);
-        // The batch solver performs no cross-replan repair.
-        assert_eq!(stats.incremental_repairs, 0);
+        // The batch solver is not an online replan.
         assert_eq!(stats.replans, 0);
     }
 }

@@ -21,9 +21,10 @@
 //! - [`brute_force`]: exact optimum by exhaustive search, for tiny
 //!   instances only; used to validate the 1/2 approximation bound.
 //! - [`online::OnlineScheduler`]: arrival/departure-driven rescheduling
-//!   in the style of the deployed Sensing Scheduler (§II-B), with
-//!   incremental CELF repair, solver selection
-//!   ([`online::SolverKind`], env `SOR_SCHED_SOLVER`), and per-task
+//!   in the style of the deployed Sensing Scheduler (§II-B). Every
+//!   replan is an incremental CELF repair, bit-identical to seeded
+//!   plain greedy from scratch (its test oracle,
+//!   [`OnlineScheduler::reference_plan`]), under optional per-task
 //!   value decay ([`DecayCurve`]).
 
 mod baseline;
@@ -42,7 +43,7 @@ pub use brute::{brute_force, optimal_value};
 pub use decay::DecayCurve;
 pub use greedy::{greedy, greedy_seeded, greedy_seeded_stats, GreedyStats};
 pub use lazy::{lazy_greedy, lazy_greedy_stats};
-pub use online::{OnlineScheduler, SolverKind};
+pub use online::OnlineScheduler;
 pub use problem::ScheduleProblem;
 pub use stochastic::{stochastic_greedy, stochastic_greedy_seeded_stats};
 pub use types::{Participant, Schedule, UserId};

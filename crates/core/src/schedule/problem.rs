@@ -128,12 +128,30 @@ impl ScheduleProblem {
     /// budgets indexed densely by `UserId`. Users are assumed to carry
     /// dense ids `0..n`; sparse ids get budget 0.
     pub fn matroid(&self) -> BudgetMatroid {
+        BudgetMatroid::new(self.budgets())
+    }
+
+    /// Per-user budgets indexed densely by `UserId` (sparse ids get 0).
+    fn budgets(&self) -> Vec<usize> {
         let max_id = self.participants.iter().map(|p| p.user.0).max().map_or(0, |m| m + 1);
         let mut budgets = vec![0usize; max_id];
         for p in &self.participants {
             budgets[p.user.0] = p.budget;
         }
-        BudgetMatroid::new(budgets)
+        budgets
+    }
+
+    /// The bookkeeping every greedy solver starts from: each user's
+    /// budget, indexed densely by `UserId`, and for each instant the
+    /// users whose stay `Tk` covers it.
+    pub(crate) fn budgets_and_presence(&self) -> (Vec<usize>, Vec<Vec<UserId>>) {
+        let mut users_at = vec![Vec::new(); self.grid.len()];
+        for p in &self.participants {
+            for i in self.tk(p.user) {
+                users_at[i].push(p.user);
+            }
+        }
+        (self.budgets(), users_at)
     }
 
     /// Whether `schedule` is feasible: every action's instant lies inside

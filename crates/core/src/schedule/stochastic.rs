@@ -17,7 +17,7 @@
 use crate::matroid::SenseAction;
 use crate::schedule::celf::attribute_user;
 use crate::schedule::greedy::GreedyStats;
-use crate::schedule::{Schedule, ScheduleProblem, UserId};
+use crate::schedule::{Schedule, ScheduleProblem};
 use crate::time::InstantId;
 
 /// Deterministic 64-bit PRNG (splitmix64). Good enough for sampling
@@ -62,19 +62,7 @@ pub fn stochastic_greedy_seeded_stats(
     assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon must be in (0, 1)");
     let mut stats = GreedyStats::default();
     let n = problem.grid().len();
-    let matroid = problem.matroid();
-    let mut remaining: Vec<usize> =
-        (0..problem.participants().iter().map(|p| p.user.0 + 1).max().unwrap_or(0))
-            .map(|u| matroid.budget_of(UserId(u)))
-            .collect();
-
-    let mut users_at: Vec<Vec<UserId>> = vec![Vec::new(); n];
-    for p in problem.participants() {
-        for i in problem.tk(p.user) {
-            users_at[i].push(p.user);
-        }
-    }
-
+    let (mut remaining, users_at) = problem.budgets_and_presence();
     let mut taken = vec![false; n];
     let mut state = problem.coverage_state();
     for &s in seed {
@@ -133,7 +121,7 @@ pub fn stochastic_greedy_seeded_stats(
 mod tests {
     use super::*;
     use crate::coverage::GaussianCoverage;
-    use crate::schedule::{greedy, DecayCurve, Participant};
+    use crate::schedule::{greedy, DecayCurve, Participant, UserId};
     use crate::time::TimeGrid;
 
     fn problem(n: usize, users: &[(f64, f64, usize)]) -> ScheduleProblem {

@@ -7,7 +7,7 @@ use sor_core::ranking::{
     aggregate, footrule_distance, individual_rankings, kemeny_distance, weighted_footrule,
     weighted_kemeny, AggregationMethod, Ranking,
 };
-use sor_core::schedule::online::{OnlineScheduler, SolverKind};
+use sor_core::schedule::online::OnlineScheduler;
 use sor_core::schedule::{
     baseline, brute_force, greedy, lazy_greedy, stochastic_greedy, DecayCurve, Participant,
     ScheduleProblem, UserId,
@@ -218,47 +218,41 @@ proptest! {
         prop_assert_eq!(lazy_greedy(&problem), greedy(&problem));
     }
 
-    /// Incremental re-planning (Celf) matches from-scratch re-planning
-    /// (Exact) bit-for-bit after every event of a random churn trace,
-    /// under a random decay curve.
+    /// Incremental CELF re-planning matches from-scratch seeded plain
+    /// greedy (the reference plan) bit-for-bit after every arrival and
+    /// departure of a random churn trace, under a random decay curve.
+    /// Bare advances do not replan, so they are not compared.
     #[test]
     fn incremental_replan_matches_from_scratch(
         trace in churn_trace(),
         decay in decay_curve(),
     ) {
         let grid = TimeGrid::new(0.0, 600.0, 60).unwrap();
-        let mut exact = OnlineScheduler::new(grid, GaussianCoverage::new(10.0))
-            .with_solver(SolverKind::Exact)
-            .with_decay(decay);
-        let mut celf = OnlineScheduler::new(grid, GaussianCoverage::new(10.0))
-            .with_solver(SolverKind::Celf)
-            .with_decay(decay);
+        let mut sched = OnlineScheduler::new(grid, GaussianCoverage::new(10.0)).with_decay(decay);
         let mut t = 0.0f64;
         for op in &trace {
             match *op {
                 ChurnOp::Arrive { user, dt, stay, budget } => {
                     t = (t + dt).min(600.0);
-                    exact.arrive(UserId(user), t, (t + stay).min(600.0), budget);
-                    celf.arrive(UserId(user), t, (t + stay).min(600.0), budget);
+                    sched.arrive(UserId(user), t, (t + stay).min(600.0), budget);
                 }
                 ChurnOp::Depart { user, dt } => {
                     t = (t + dt).min(600.0);
-                    exact.depart(UserId(user), t);
-                    celf.depart(UserId(user), t);
+                    sched.depart(UserId(user), t);
                 }
                 ChurnOp::Advance { dt } => {
                     t = (t + dt).min(600.0);
-                    exact.advance_to(t);
-                    celf.advance_to(t);
+                    sched.advance_to(t);
+                    continue;
                 }
             }
+            let (reference, _) = sched.reference_plan();
             prop_assert_eq!(
-                exact.current_schedule(),
-                celf.current_schedule(),
+                sched.planned(),
+                reference.assignments(),
                 "diverged after {:?} at t={}", op, t
             );
         }
-        prop_assert_eq!(exact.coverage().to_bits(), celf.coverage().to_bits());
     }
 
     /// Stochastic greedy is deterministic per seed and always feasible
@@ -317,7 +311,7 @@ proptest! {
     }
 
     /// The flow aggregation is footrule-optimal (checked by enumerating
-    /// all 4! candidate rankings) and matches Hungarian.
+    /// all 4! candidate rankings).
     #[test]
     fn aggregation_is_footrule_optimal(
         rankings in proptest::collection::vec(permutation(4), 1..5),
@@ -327,10 +321,7 @@ proptest! {
         let rankings = &rankings[..m];
         let weights: Vec<f64> = raw_weights[..m].iter().map(|&w| w as f64).collect();
         let flow = aggregate(rankings, &weights, AggregationMethod::FootruleFlow).unwrap();
-        let hung = aggregate(rankings, &weights, AggregationMethod::FootruleHungarian).unwrap();
         let flow_cost = weighted_footrule(&flow, rankings, &weights);
-        let hung_cost = weighted_footrule(&hung, rankings, &weights);
-        prop_assert!((flow_cost - hung_cost).abs() < 1e-9);
 
         // Enumerate all permutations of 4 places.
         let mut best = f64::INFINITY;

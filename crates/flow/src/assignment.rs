@@ -1,26 +1,15 @@
-//! Square assignment problem facade.
+//! Square assignment problem.
 //!
 //! The SOR ranking aggregation (§IV-B) reduces to assigning `N` target
 //! places to `N` rank positions at minimum total cost. The paper solves
-//! it as a min-cost `s`–`z` flow on a unit-capacity bipartite graph; the
-//! Hungarian algorithm solves the identical problem directly. Both
-//! backends are exposed so `sor-core` can cross-validate them.
+//! it as a min-cost `s`–`z` flow on a unit-capacity bipartite graph,
+//! and so does [`solve`]. The Hungarian algorithm solves the identical
+//! problem directly; [`crate::hungarian::solve`] is kept as the test
+//! oracle for this module.
 
 use crate::graph::{Graph, NodeId};
-use crate::hungarian;
 use crate::mincost::MinCostFlow;
 use crate::FlowError;
-
-/// Which solver to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Backend {
-    /// Min-cost flow on the auxiliary bipartite graph (the paper's
-    /// construction, §IV-B).
-    #[default]
-    MinCostFlow,
-    /// Hungarian algorithm (independent `O(n³)` cross-check).
-    Hungarian,
-}
 
 /// Solution to an assignment instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,27 +21,27 @@ pub struct AssignmentSolution {
     pub total_cost: i64,
 }
 
-/// Solves the square assignment problem `cost[i][j]` with the chosen
-/// backend.
+/// Solves the square assignment problem `cost[i][j]` by min-cost flow
+/// on the paper's auxiliary graph.
 ///
 /// # Errors
 ///
 /// - [`FlowError::MalformedMatrix`] if the matrix is empty or not square.
-/// - Flow backend errors surface unchanged (they indicate a bug in the
-///   graph construction rather than bad input, since the bipartite graph
-///   is always feasible).
+/// - Flow errors surface unchanged (they indicate a bug in the graph
+///   construction rather than bad input, since the bipartite graph is
+///   always feasible).
 ///
 /// # Example
 ///
 /// ```
-/// use sor_flow::assignment::{solve, Backend};
+/// use sor_flow::assignment::solve;
 /// let cost = vec![vec![1, 10], vec![10, 1]];
-/// let flow = solve(&cost, Backend::MinCostFlow).unwrap();
-/// let hung = solve(&cost, Backend::Hungarian).unwrap();
-/// assert_eq!(flow.total_cost, hung.total_cost);
+/// let flow = solve(&cost).unwrap();
+/// let (_, hungarian_cost) = sor_flow::hungarian::solve(&cost).unwrap();
+/// assert_eq!(flow.total_cost, hungarian_cost);
 /// assert_eq!(flow.assignment, vec![0, 1]);
 /// ```
-pub fn solve(cost: &[Vec<i64>], backend: Backend) -> Result<AssignmentSolution, FlowError> {
+pub fn solve(cost: &[Vec<i64>]) -> Result<AssignmentSolution, FlowError> {
     let n = cost.len();
     if n == 0 {
         return Err(FlowError::MalformedMatrix { rows: 0, cols: 0 });
@@ -62,20 +51,9 @@ pub fn solve(cost: &[Vec<i64>], backend: Backend) -> Result<AssignmentSolution, 
             return Err(FlowError::MalformedMatrix { rows: n, cols: row.len() });
         }
     }
-    match backend {
-        Backend::Hungarian => {
-            let (assignment, total_cost) = hungarian::solve(cost)?;
-            Ok(AssignmentSolution { assignment, total_cost })
-        }
-        Backend::MinCostFlow => solve_via_flow(cost),
-    }
-}
-
-/// Builds the paper's auxiliary graph: source `s`, one node per place,
-/// one node per rank, sink `z`; all capacities 1; place→rank arcs carry
-/// the assignment cost; then routes `n` units of min-cost flow.
-fn solve_via_flow(cost: &[Vec<i64>]) -> Result<AssignmentSolution, FlowError> {
-    let n = cost.len();
+    // The paper's auxiliary graph: source `s`, one node per place, one
+    // node per rank, sink `z`; all capacities 1; place→rank arcs carry
+    // the assignment cost; then `n` units of min-cost flow are routed.
     // Layout: 0 = s, 1..=n places, n+1..=2n ranks, 2n+1 = z.
     let mut g = Graph::new(2 * n + 2);
     let s = NodeId(0);
@@ -109,18 +87,20 @@ fn solve_via_flow(cost: &[Vec<i64>]) -> Result<AssignmentSolution, FlowError> {
 mod tests {
     use super::*;
 
+    use crate::hungarian;
+
     #[test]
     fn backends_agree_on_total_cost() {
         let cost = vec![vec![7, 2, 1, 9], vec![4, 3, 6, 0], vec![5, 8, 2, 2], vec![1, 1, 4, 3]];
-        let a = solve(&cost, Backend::MinCostFlow).unwrap();
-        let b = solve(&cost, Backend::Hungarian).unwrap();
-        assert_eq!(a.total_cost, b.total_cost);
+        let flow = solve(&cost).unwrap();
+        let (_, hungarian_cost) = hungarian::solve(&cost).unwrap();
+        assert_eq!(flow.total_cost, hungarian_cost);
     }
 
     #[test]
     fn flow_backend_produces_permutation() {
         let cost = vec![vec![5, 5, 5], vec![5, 5, 5], vec![5, 5, 5]];
-        let sol = solve(&cost, Backend::MinCostFlow).unwrap();
+        let sol = solve(&cost).unwrap();
         let mut seen = [false; 3];
         for &j in &sol.assignment {
             assert!(!seen[j]);
@@ -131,21 +111,17 @@ mod tests {
 
     #[test]
     fn one_by_one_matrix() {
-        let sol = solve(&[vec![42]], Backend::MinCostFlow).unwrap();
+        let sol = solve(&[vec![42]]).unwrap();
         assert_eq!(sol.assignment, vec![0]);
         assert_eq!(sol.total_cost, 42);
     }
 
     #[test]
     fn malformed_matrices_rejected_by_both() {
-        for backend in [Backend::MinCostFlow, Backend::Hungarian] {
-            assert!(solve(&[], backend).is_err());
-            assert!(solve(&[vec![1, 2], vec![3]], backend).is_err());
-        }
-    }
-
-    #[test]
-    fn default_backend_is_flow() {
-        assert_eq!(Backend::default(), Backend::MinCostFlow);
+        assert!(solve(&[]).is_err());
+        assert!(hungarian::solve(&[]).is_err());
+        let ragged = [vec![1, 2], vec![3]];
+        assert!(solve(&ragged).is_err());
+        assert!(hungarian::solve(&ragged).is_err());
     }
 }

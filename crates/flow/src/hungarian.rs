@@ -1,9 +1,9 @@
 //! Hungarian (Kuhn–Munkres) algorithm for the square assignment problem.
 //!
 //! `O(n³)` shortest-augmenting-path formulation (Jonker–Volgenant style
-//! with dual potentials). Used in SOR as an independent cross-check of
-//! the min-cost-flow aggregation described in §IV-B of the paper: both
-//! must produce a minimum-cost perfect matching between target places and
+//! with dual potentials). Used in SOR only as the test oracle for the
+//! min-cost-flow aggregation described in §IV-B of the paper: both must
+//! produce a minimum-cost perfect matching between target places and
 //! rank positions.
 
 use crate::FlowError;

@@ -11,10 +11,10 @@
 //! - [`MinCostFlow`]: successive shortest augmenting paths with Johnson
 //!   potentials (Bellman-Ford bootstrap, Dijkstra thereafter), exact on
 //!   integer costs, guaranteed integral on unit-capacity graphs.
+//! - [`assignment`]: square assignment problems solved as min-cost flow
+//!   on the paper's auxiliary graph.
 //! - [`hungarian`]: an independent `O(n³)` Hungarian (Kuhn–Munkres)
-//!   assignment solver used to cross-check the flow formulation.
-//! - [`assignment`]: a facade that solves square assignment problems with
-//!   either backend.
+//!   assignment solver, the test oracle for the flow formulation.
 //!
 //! Costs are `i64`. Callers with fractional costs (e.g. fractional
 //! feature weights) should scale to fixed point first; the ranking layer
@@ -23,11 +23,11 @@
 //! # Example
 //!
 //! ```
-//! use sor_flow::assignment::{solve, Backend};
+//! use sor_flow::assignment::solve;
 //!
 //! // cost[i][j] = cost of assigning row i to column j
 //! let cost = vec![vec![4, 1, 3], vec![2, 0, 5], vec![3, 2, 2]];
-//! let sol = solve(&cost, Backend::MinCostFlow).unwrap();
+//! let sol = solve(&cost).unwrap();
 //! assert_eq!(sol.total_cost, 5);
 //! ```
 
@@ -41,7 +41,7 @@ pub mod mincost;
 pub mod shortest;
 pub mod validate;
 
-pub use assignment::{solve as solve_assignment, AssignmentSolution, Backend};
+pub use assignment::{solve as solve_assignment, AssignmentSolution};
 pub use graph::{EdgeId, Graph, NodeId};
 pub use mincost::{FlowResult, MinCostFlow};
 

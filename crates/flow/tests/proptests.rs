@@ -1,7 +1,8 @@
 //! Property-based tests for the flow substrate.
 
 use proptest::prelude::*;
-use sor_flow::assignment::{solve, Backend};
+use sor_flow::assignment::solve;
+use sor_flow::hungarian;
 use sor_flow::validate::{check_capacities, check_conservation, is_min_cost};
 use sor_flow::{Graph, MinCostFlow, NodeId};
 
@@ -39,20 +40,20 @@ fn brute_force(cost: &[Vec<i64>]) -> i64 {
 proptest! {
     #[test]
     fn assignment_backends_agree(cost in cost_matrix()) {
-        let a = solve(&cost, Backend::MinCostFlow).unwrap();
-        let b = solve(&cost, Backend::Hungarian).unwrap();
-        prop_assert_eq!(a.total_cost, b.total_cost);
+        let flow = solve(&cost).unwrap();
+        let (_, hungarian_cost) = hungarian::solve(&cost).unwrap();
+        prop_assert_eq!(flow.total_cost, hungarian_cost);
     }
 
     #[test]
     fn assignment_matches_brute_force(cost in cost_matrix()) {
-        let a = solve(&cost, Backend::MinCostFlow).unwrap();
+        let a = solve(&cost).unwrap();
         prop_assert_eq!(a.total_cost, brute_force(&cost));
     }
 
     #[test]
     fn assignment_is_permutation(cost in cost_matrix()) {
-        let sol = solve(&cost, Backend::MinCostFlow).unwrap();
+        let sol = solve(&cost).unwrap();
         let n = cost.len();
         let mut seen = vec![false; n];
         for &j in &sol.assignment {

@@ -19,9 +19,9 @@
 //! - **script engine** — bytecode VM runs and the compilation cache's
 //!   hit rate (absent counters render as a note, not an error: a run
 //!   without script executions exports none of them);
-//! - **scheduler** — replan counts labelled by solver, marginal-gain
-//!   evaluations per replan, and the CELF heap/bound/repair traffic
-//!   (`sched.*` counters exported by the server's replan loop);
+//! - **scheduler** — replan count, marginal-gain evaluations per
+//!   replan, and the CELF heap/bound traffic (`sched.*` counters
+//!   exported by the server's replan loop);
 //! - **health** — the exported SLO grades, embedded verbatim.
 
 use std::collections::BTreeMap;
@@ -272,33 +272,19 @@ pub fn render_dashboard(
     }
 
     // Scheduler: replan and CELF work accounting (`sched.*` counters).
-    // The replan counter is labelled by solver, so the rows double as
-    // the "which solver is in use" display.
     out.push_str("\n-- scheduler --\n");
-    let replan_rows: Vec<(&str, f64)> = counters
-        .iter()
-        .filter_map(|(k, v)| {
-            k.strip_prefix("sched.replans_run.").and_then(|s| v.as_f64().map(|n| (s, n)))
-        })
-        .collect();
-    let replans: f64 = replan_rows.iter().map(|(_, n)| n).sum();
-    if replans == 0.0 && counter("sched.gain_evaluations") == 0.0 {
+    let replans = counter("sched.replans_run");
+    let evals = counter("sched.gain_evaluations");
+    if replans == 0.0 && evals == 0.0 {
         out.push_str("  (no scheduler counters exported)\n");
     } else {
-        let solvers = if replan_rows.is_empty() {
-            "solver unknown".to_string()
-        } else {
-            replan_rows.iter().map(|(s, n)| format!("{s} x{n}")).collect::<Vec<_>>().join(", ")
-        };
-        out.push_str(&format!("  replans: {replans} ({solvers})\n"));
-        let evals = counter("sched.gain_evaluations");
+        out.push_str(&format!("  replans: {replans}\n"));
         let per = if replans > 0.0 { evals / replans } else { 0.0 };
         out.push_str(&format!("  gain evals: {evals} ({per:.1} per replan)\n"));
         out.push_str(&format!(
-            "  celf: {} heap pops, {} bounds reinserted, {} incremental repairs\n",
+            "  celf: {} heap pops, {} bounds reinserted\n",
             counter("sched.heap_pops"),
-            counter("sched.bounds_reinserted"),
-            counter("sched.repairs_run")
+            counter("sched.bounds_reinserted")
         ));
     }
 
@@ -417,13 +403,12 @@ mod tests {
         m.count("sched.gain_evaluations", 90);
         m.count("sched.heap_pops", 40);
         m.count("sched.bounds_reinserted", 7);
-        m.count("sched.repairs_run", 5);
-        m.count("sched.replans_run.celf", 6);
+        m.count("sched.replans_run", 6);
         let m = parse(&m.to_json()).unwrap();
         let d = render_dashboard(&t, &m, None, None);
-        assert!(d.contains("replans: 6 (celf x6)"), "{d}");
+        assert!(d.contains("replans: 6\n"), "{d}");
         assert!(d.contains("gain evals: 90 (15.0 per replan)"), "{d}");
-        assert!(d.contains("40 heap pops, 7 bounds reinserted, 5 incremental repairs"), "{d}");
+        assert!(d.contains("celf: 40 heap pops, 7 bounds reinserted\n"), "{d}");
     }
 
     #[test]

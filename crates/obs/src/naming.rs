@@ -117,10 +117,7 @@ mod tests {
             "sched.replan_gain_evaluations",
             "sched.heap_pops",
             "sched.bounds_reinserted",
-            "sched.repairs_run",
-            "sched.replans_run.celf",
-            "sched.replans_run.exact",
-            "sched.replans_run.stochastic",
+            "sched.replans_run",
             // PR 10: run-archive and cross-run diff names.
             "archive.bytes_written",
             "archive.spans_archived",

@@ -46,9 +46,6 @@ pub struct SensingServer {
     last_contact: BTreeMap<u64, f64>,
     now: f64,
     recorder: Recorder,
-    /// Scheduler work already exported as counters, so deltas can be
-    /// reported after each replan without double counting.
-    sched_work_reported: GreedyStats,
     /// Cached rankings, valid for one features epoch.
     rank_cache: RankCache,
     /// Bumped by every Data Processor pass; invalidates `rank_cache`.
@@ -145,7 +142,6 @@ impl SensingServer {
             last_contact: BTreeMap::new(),
             now,
             recorder: Recorder::disabled(),
-            sched_work_reported: GreedyStats::default(),
             rank_cache: RankCache::new(),
             features_epoch: 0,
             ack_deadline: 120.0,
@@ -291,7 +287,13 @@ impl SensingServer {
         for (token, budget, arrival, departure) in recovered {
             if let Ok(Some(user)) = self.users.by_token(self.db.db(), token) {
                 let clamped = departure.min(scheduler.grid().end());
-                scheduler.arrive(UserId(user.user_id as usize), arrival, clamped, budget as usize);
+                let work = scheduler.arrive(
+                    UserId(user.user_id as usize),
+                    arrival,
+                    clamped,
+                    budget as usize,
+                );
+                record_replan(&self.recorder, work);
             }
         }
         self.schedulers.insert(spec.app_id, scheduler);
@@ -312,7 +314,8 @@ impl SensingServer {
             let (app_id, token) = (task.app_id, task.token);
             if let Ok(Some(user)) = self.users.by_token(self.db.db(), token) {
                 if let Some(sched) = self.schedulers.get_mut(&app_id) {
-                    sched.depart(UserId(user.user_id as usize), now);
+                    let work = sched.depart(UserId(user.user_id as usize), now);
+                    record_replan(&self.recorder, work);
                 }
             }
         }
@@ -321,52 +324,6 @@ impl SensingServer {
                 sched.advance_to(now);
             }
         }
-        self.record_scheduler_work();
-    }
-
-    /// Exports the solver work done since the last call as counters
-    /// (`sched.iterations_run`, `sched.gain_evaluations`, CELF heap
-    /// traffic, replan counts labelled by solver). Work counts, not wall
-    /// time: the deterministic cost measure of the scheduler.
-    fn record_scheduler_work(&mut self) {
-        if !self.recorder.is_enabled() {
-            return;
-        }
-        let mut total = GreedyStats::default();
-        let mut solver = None;
-        for sched in self.schedulers.values() {
-            total.absorb(sched.stats());
-            solver.get_or_insert_with(|| sched.solver().name());
-        }
-        let done = &self.sched_work_reported;
-        let new_iters = total.iterations - done.iterations;
-        let new_evals = total.gain_evaluations - done.gain_evaluations;
-        let new_pops = total.heap_pops - done.heap_pops;
-        let new_reinserts = total.bound_reinserts - done.bound_reinserts;
-        let new_repairs = total.incremental_repairs - done.incremental_repairs;
-        let new_replans = total.replans - done.replans;
-        if new_iters > 0 {
-            self.recorder.count("sched.iterations_run", new_iters);
-        }
-        if new_evals > 0 {
-            self.recorder.count("sched.gain_evaluations", new_evals);
-            self.recorder.observe("sched.replan_gain_evaluations", new_evals as f64);
-        }
-        if new_pops > 0 {
-            self.recorder.count("sched.heap_pops", new_pops);
-        }
-        if new_reinserts > 0 {
-            self.recorder.count("sched.bounds_reinserted", new_reinserts);
-        }
-        if new_repairs > 0 {
-            self.recorder.count("sched.repairs_run", new_repairs);
-        }
-        if new_replans > 0 {
-            // Labelled by solver so `sor top` can show what's in use.
-            let label = solver.unwrap_or("celf");
-            self.recorder.count_labeled("sched.replans_run", label, new_replans);
-        }
-        self.sched_work_reported = total;
     }
 
     /// Pipeline bookkeeping for one accepted upload: the coverage
@@ -471,7 +428,6 @@ impl SensingServer {
         if result.is_err() {
             self.recorder.count_labeled("server.msg_rejected", kind, 1);
         }
-        self.record_scheduler_work();
         // Durability point: everything this message changed is in the
         // write-ahead log before the reply (the ack) leaves the server.
         let committed = self.db.commit();
@@ -537,7 +493,8 @@ impl SensingServer {
                 self.persist_task(*task_id)?;
                 if let Ok(Some(user)) = self.users.by_token(self.db.db(), token) {
                     if let Some(sched) = self.schedulers.get_mut(&app_id) {
-                        sched.depart(UserId(user.user_id as usize), now);
+                        let work = sched.depart(UserId(user.user_id as usize), now);
+                        record_replan(&self.recorder, work);
                     }
                 }
                 Ok(Vec::new())
@@ -593,7 +550,13 @@ impl SensingServer {
         self.persist_task(task_id)?;
         let sched = self.schedulers.get_mut(&app_id).expect("registered with app");
         let clamped_departure = departure.min(sched.grid().end());
-        sched.arrive(UserId(user.user_id as usize), self.now, clamped_departure, budget as usize);
+        let work = sched.arrive(
+            UserId(user.user_id as usize),
+            self.now,
+            clamped_departure,
+            budget as usize,
+        );
+        record_replan(&self.recorder, work);
         // Distribute updated schedules to every active participant of
         // this application (§II-B: "will also distribute the calculated
         // schedules along with the corresponding Lua scripts").
@@ -944,6 +907,26 @@ impl SensingServer {
     pub fn feature_value(&self, app_id: u64, feature: &str) -> Result<Option<f64>, ServerError> {
         self.processor.feature_value(self.db.db(), app_id, feature)
     }
+}
+
+/// Exports one replan's solver work: selection rounds, marginal-gain
+/// evaluations and CELF heap traffic as counters, one
+/// `sched.replans_run`, and one `sched.replan_gain_evaluations`
+/// observation (zero included). Work counts, not wall time: the
+/// deterministic cost measure of the scheduler.
+fn record_replan(recorder: &Recorder, work: GreedyStats) {
+    for (name, n) in [
+        ("sched.iterations_run", work.iterations),
+        ("sched.gain_evaluations", work.gain_evaluations),
+        ("sched.heap_pops", work.heap_pops),
+        ("sched.bounds_reinserted", work.bound_reinserts),
+    ] {
+        if n > 0 {
+            recorder.count(name, n);
+        }
+    }
+    recorder.count("sched.replans_run", work.replans);
+    recorder.observe("sched.replan_gain_evaluations", work.gain_evaluations as f64);
 }
 
 /// Stable label for per-message-type counters and span attributes.
@@ -1299,6 +1282,24 @@ mod tests {
         let parent = trace.spans_named("server.process_data").next().unwrap().id;
         let decode = trace.spans_named("server.process_data.decode").next().unwrap();
         assert_eq!(decode.parent, Some(parent));
+    }
+
+    #[test]
+    fn replan_histogram_observes_every_replan() {
+        // Two joins, then one tick sweeps both departures: four replans,
+        // the two departures with nothing left to evaluate.
+        let rec = Recorder::enabled();
+        let mut s = server_with_app();
+        s.set_recorder(rec.clone());
+        join(&mut s, 7, 5);
+        join(&mut s, 8, 5);
+        s.tick(2_000.0);
+        assert_eq!(rec.counter("sched.replans_run"), 4);
+        let metrics = rec.metrics_snapshot().unwrap();
+        let evals = metrics.histogram("sched.replan_gain_evaluations").unwrap();
+        assert_eq!(evals.count(), rec.counter("sched.replans_run"));
+        assert_eq!(evals.zero_or_less(), 2);
+        assert_eq!(evals.sum(), rec.counter("sched.gain_evaluations") as f64);
     }
 
     #[test]

@@ -130,7 +130,7 @@ pub struct FieldTestOutcome {
 
 /// Environment knobs captured into every run archive: anything that
 /// can change scenario behaviour and therefore comparability.
-pub const ARCHIVED_KNOBS: &[&str] = &["SOR_SCHED_SOLVER", "SOR_THREADS", "SOR_TRACE_SAMPLE"];
+pub const ARCHIVED_KNOBS: &[&str] = &["SOR_THREADS", "SOR_TRACE_SAMPLE"];
 
 impl FieldTestOutcome {
     /// Bundles this run's observability artifacts into a [`RunArchive`]

@@ -25,7 +25,9 @@ run env SOR_THREADS=4 cargo test -q --offline --workspace
 # SOR_THREADS=1 and 2.
 run cargo test -q --offline --manifest-path sorbench/Cargo.toml
 run cargo clippy --offline --workspace --all-targets -- -D warnings
+run cargo clippy --offline --manifest-path sorbench/Cargo.toml --all-targets -- -D warnings
 run cargo fmt --check
+run cargo fmt --check --manifest-path sorbench/Cargo.toml
 
 # Static-analysis gates: every corpus script's diagnostics must match
 # its golden .expected file, and the three-way optdiff (tree-walker vs
@@ -166,23 +168,6 @@ if [ "$((tree / warm))" -lt 3 ]; then
     exit 1
 fi
 echo "==> script VM warm-cache speedup OK (${tree} ns tree vs ${warm} ns vm_warm)"
-
-# Scheduler solver gate: CELF must be invisible at the outcome level —
-# the field test under SOR_SCHED_SOLVER=exact and =celf must print
-# byte-identical outcome digests (CELF is bit-identical to the plain
-# greedy by construction). The stochastic solver may schedule
-# differently but must still pass the SLO health grade the smoke
-# enforces internally.
-exact_out=$(env SOR_SCHED_SOLVER=exact cargo run --release --offline -p sor-bench --bin sched_smoke)
-celf_out=$(env SOR_SCHED_SOLVER=celf cargo run --release --offline -p sor-bench --bin sched_smoke)
-if [ "$exact_out" != "$celf_out" ]; then
-    echo "FAIL sched_smoke outcomes diverge between exact and CELF solvers" >&2
-    printf '%s\n--- vs ---\n%s\n' "$exact_out" "$celf_out" >&2
-    exit 1
-fi
-printf '%s\n' "$celf_out"
-echo "==> sched_smoke outcome identical across exact/celf solvers"
-run env SOR_SCHED_SOLVER=stochastic cargo run --release --offline -p sor-bench --bin sched_smoke
 
 # Churn-replanning guard: incremental CELF re-planning must do at most
 # 10% of the full-replan marginal-gain evaluations at n=4096. The

@@ -77,7 +77,7 @@ fn ranking_matches_direct_flow_solution() {
     // The §IV-B construction: aggregating through the public ranking API
     // equals solving the assignment problem manually on sor-flow.
     use sor::core::ranking::{aggregate, AggregationMethod, PlaceId, Ranking};
-    use sor::flow::assignment::{solve, Backend};
+    use sor::flow::hungarian;
 
     let rankings = vec![
         Ranking::from_order(vec![2, 0, 1, 3]).unwrap(),
@@ -102,8 +102,7 @@ fn ranking_matches_direct_flow_solution() {
                 .collect()
         })
         .collect();
-    let sol = solve(&cost, Backend::Hungarian).unwrap();
-    let manual_cost: i64 = sol.total_cost;
+    let (_, manual_cost) = hungarian::solve(&cost).unwrap();
     let api_cost: f64 = rankings
         .iter()
         .zip(weights)
