@@ -82,12 +82,14 @@ mod tests {
         let gamma: Vec<Vec<f64>> = (0..128)
             .map(|i| (0..64).map(|j| (((i * 31 + j * 17) % 97) as f64) * 0.5).collect())
             .collect();
-        sor_par::set_threads(1);
-        let seq = individual_rankings(&gamma);
-        sor_par::set_threads(8);
-        let par = individual_rankings(&gamma);
-        sor_par::set_threads(0);
-        assert_eq!(seq, par);
+        let run = |threads| {
+            sor_par::with_threads(threads, || {
+                let rankings = individual_rankings(&gamma);
+                assert_eq!(sor_par::current_threads(), threads);
+                rankings
+            })
+        };
+        assert_eq!(run(1), run(8));
     }
 
     #[test]

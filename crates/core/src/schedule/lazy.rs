@@ -133,12 +133,15 @@ mod tests {
         // first-round sweep actually runs.
         let users: Vec<(f64, f64, usize)> = (0..8).map(|k| (k as f64 * 50.0, 2000.0, 5)).collect();
         let p = problem(200, &users);
-        sor_par::set_threads(1);
-        let seq = lazy_greedy(&p);
-        sor_par::set_threads(8);
-        let par = lazy_greedy(&p);
-        sor_par::set_threads(0);
-        assert_eq!(seq, par, "lazy greedy must be bit-for-bit thread-count independent");
+        let run = |threads| {
+            sor_par::with_threads(threads, || {
+                let schedule = lazy_greedy(&p);
+                assert_eq!(sor_par::current_threads(), threads);
+                schedule
+            })
+        };
+        let seq = run(1);
+        assert_eq!(seq, run(8), "lazy greedy must be bit-for-bit thread-count independent");
         assert_eq!(seq, greedy(&p));
     }
 

@@ -95,7 +95,6 @@ mod tests {
             "store.rows_inserted.records",
             "pipeline.upload_commit_latency_s",
             "sched.sim_coverage.greedy",
-            "par.busy_ms",
             // PR 7: sampler, top-k, and windowed-metrics names.
             "obs.traces_sampled",
             "obs.traces_kept.slow_decile",

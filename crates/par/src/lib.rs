@@ -1,14 +1,14 @@
 //! `sor-par` — deterministic parallel execution for the SOR pipeline.
 //!
 //! The ROADMAP north-star is a server that survives "heavy traffic from
-//! millions of users … as fast as the hardware allows", but every hot
-//! path in the reproduction (ranking, inbox decode, greedy marginal-gain
-//! fan-out, sim phone stepping) was single-threaded. This crate supplies
-//! the missing execution layer with two hard constraints:
+//! millions of users … as fast as the hardware allows". This crate
+//! supplies the execution layer for the hot paths that fan out (inbox
+//! decode, batched ranking, ranker columns, the lazy-greedy first
+//! round) with two hard constraints:
 //!
 //! 1. **No unsafe.** Everything is built on [`std::thread::scope`],
 //!    atomics, and the vendored `parking_lot` mutex.
-//! 2. **Determinism.** Every combinator is *order-preserving*: the
+//! 2. **Determinism.** [`par_map_min`] is *order-preserving*: the
 //!    result vector is index-for-index identical to the sequential
 //!    `map`, no matter how work is interleaved across workers. With a
 //!    pure function, output at `SOR_THREADS=8` is bit-for-bit the output
@@ -17,39 +17,29 @@
 //!
 //! # Thread-count resolution
 //!
-//! The worker count for the free functions is resolved, in order, from:
+//! The worker count is resolved, in order, from:
 //!
-//! 1. a process-wide programmatic override ([`set_threads`] — used by
-//!    benches and the thread-equality tests to switch counts in-process),
+//! 1. a process-wide programmatic override ([`set_threads`], or
+//!    [`with_threads`] for one closure — the thread-equality tests use
+//!    it to switch counts in-process),
 //! 2. the `SOR_THREADS` environment variable (read once; `1` selects the
 //!    exact sequential fallback),
 //! 3. [`std::thread::available_parallelism`], capped at 8.
 //!
-//! # Stats and observability
-//!
-//! Pools count tasks, dispatched chunks, and cumulative worker busy
-//! time. Busy time is wall-clock and chunk counts depend on scheduling,
-//! so stats are **never** recorded automatically: deterministic
-//! pipelines stay deterministic. Call [`record_stats`] (or
-//! [`Pool::record_stats`]) explicitly from benches or smoke binaries to
-//! export them through a [`sor_obs::Recorder`].
-//!
 //! # Example
 //!
 //! ```
-//! let squares = sor_par::par_map(&[1u64, 2, 3, 4], |x| x * x);
+//! let squares = sor_par::par_map_min(&[1u64, 2, 3, 4], 2, |x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
 
-use parking_lot::Mutex;
-use sor_obs::Recorder;
+use parking_lot::{Mutex, MutexGuard};
 
 /// Default cap on auto-detected parallelism (keeps scoped-spawn cost
 /// bounded on very wide machines; raise explicitly via `SOR_THREADS`).
@@ -57,6 +47,10 @@ const DEFAULT_MAX_THREADS: usize = 8;
 
 /// Process-wide programmatic override; `0` means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+
+/// Serialises [`with_threads`] callers: the override is process-global
+/// and the test harness runs a binary's tests on parallel threads.
+static THREADS_LOCK: Mutex<()> = Mutex::new(());
 
 /// `SOR_THREADS` parsed once per process.
 fn env_threads() -> Option<usize> {
@@ -69,7 +63,7 @@ fn env_threads() -> Option<usize> {
     })
 }
 
-/// The worker count the free functions will use right now.
+/// The worker count [`par_map_min`] will use right now.
 pub fn current_threads() -> usize {
     let o = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if o > 0 {
@@ -83,177 +77,41 @@ pub fn current_threads() -> usize {
 
 /// Overrides the global worker count for this process (`1` forces the
 /// exact sequential fallback). Passing `0` clears the override, falling
-/// back to `SOR_THREADS` / auto-detection. Benches and the in-process
-/// thread-equality tests use this to compare counts without re-exec.
+/// back to `SOR_THREADS` / auto-detection.
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
-/// Internal atomic tallies behind a pool.
-#[derive(Debug, Default)]
-struct Counters {
-    par_calls: AtomicU64,
-    seq_calls: AtomicU64,
-    tasks: AtomicU64,
-    chunks: AtomicU64,
-    busy_ns: AtomicU64,
+/// Restores the override it was built with on drop — on return and on
+/// unwind alike — before releasing the lock.
+struct Restore {
+    previous: usize,
+    _lock: MutexGuard<'static, ()>,
 }
 
-/// A point-in-time snapshot of a pool's activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Invocations that fanned out to >1 worker.
-    pub par_calls: u64,
-    /// Invocations that took the sequential fallback.
-    pub seq_calls: u64,
-    /// Individual items mapped (parallel or sequential).
-    pub tasks: u64,
-    /// Contiguous work units dispatched to workers.
-    pub chunks: u64,
-    /// Cumulative wall-clock busy time across workers, nanoseconds.
-    /// Non-deterministic; never compare across runs.
-    pub busy_ns: u64,
-}
-
-impl Counters {
-    fn snapshot(&self) -> PoolStats {
-        PoolStats {
-            par_calls: self.par_calls.load(Ordering::Relaxed),
-            seq_calls: self.seq_calls.load(Ordering::Relaxed),
-            tasks: self.tasks.load(Ordering::Relaxed),
-            chunks: self.chunks.load(Ordering::Relaxed),
-            busy_ns: self.busy_ns.load(Ordering::Relaxed),
-        }
-    }
-
-    fn reset(&self) {
-        self.par_calls.store(0, Ordering::Relaxed);
-        self.seq_calls.store(0, Ordering::Relaxed);
-        self.tasks.store(0, Ordering::Relaxed);
-        self.chunks.store(0, Ordering::Relaxed);
-        self.busy_ns.store(0, Ordering::Relaxed);
+impl Drop for Restore {
+    fn drop(&mut self) {
+        set_threads(self.previous);
     }
 }
 
-/// Emits a stats snapshot into `rec` under the `par.*` namespace.
-fn record_snapshot(rec: &Recorder, s: PoolStats) {
-    rec.count("par.calls_parallel", s.par_calls);
-    rec.count("par.calls_sequential", s.seq_calls);
-    rec.count("par.tasks_run", s.tasks);
-    rec.count("par.chunks_run", s.chunks);
-    rec.gauge("par.busy_ms", s.busy_ns as f64 / 1.0e6);
+/// Runs `f` with the worker count overridden to `n` (as
+/// [`set_threads`]), holding one process-wide lock so concurrent callers
+/// never see each other's count, and restores the previous override
+/// when `f` returns or panics. Calls do not nest: calling
+/// `with_threads` from inside `f` deadlocks.
+pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    let lock = THREADS_LOCK.lock();
+    let _restore = Restore { previous: THREAD_OVERRIDE.load(Ordering::Relaxed), _lock: lock };
+    set_threads(n);
+    f()
 }
 
-/// Shared tallies behind the free functions.
-static GLOBAL: Counters = Counters {
-    par_calls: AtomicU64::new(0),
-    seq_calls: AtomicU64::new(0),
-    tasks: AtomicU64::new(0),
-    chunks: AtomicU64::new(0),
-    busy_ns: AtomicU64::new(0),
-};
-
-/// Snapshot of the global (free-function) pool stats.
-pub fn stats() -> PoolStats {
-    GLOBAL.snapshot()
-}
-
-/// Resets the global stats to zero (benches between phases).
-pub fn reset_stats() {
-    GLOBAL.reset();
-}
-
-/// Records the global stats into `rec`. Busy time and chunk counts vary
-/// with scheduling: call this only from benches / smoke binaries, never
-/// inside a golden-traced pipeline.
-pub fn record_stats(rec: &Recorder) {
-    record_snapshot(rec, stats());
-}
-
-/// A sized worker pool with its own stats, independent of the global
-/// `SOR_THREADS` knob. Workers are scoped threads spawned per call —
-/// there is no persistent thread to leak or poison.
-#[derive(Debug, Default)]
-pub struct Pool {
-    workers: usize,
-    counters: Counters,
-}
-
-impl Pool {
-    /// A pool that fans out to at most `workers` threads (`0` and `1`
-    /// both mean sequential).
-    pub fn new(workers: usize) -> Self {
-        Pool { workers: workers.max(1), counters: Counters::default() }
-    }
-
-    /// A pool sized from the global knob ([`current_threads`]).
-    pub fn sized_from_env() -> Self {
-        Pool::new(current_threads())
-    }
-
-    /// The configured worker cap.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Order-preserving parallel map over `items`.
-    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        map_engine(self.workers, &self.counters, items, &f)
-    }
-
-    /// Chunked variant: `f` maps each contiguous chunk of up to
-    /// `chunk_size` items to its outputs; chunks are concatenated in
-    /// input order.
-    pub fn map_chunks<T, R, F>(&self, items: &[T], chunk_size: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&[T]) -> Vec<R> + Sync,
-    {
-        map_chunks_engine(self.workers, &self.counters, items, chunk_size, &f)
-    }
-
-    /// Order-preserving parallel map over mutable items (contiguous
-    /// static partitioning, one chunk per worker).
-    pub fn map_mut<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(&mut T) -> R + Sync,
-    {
-        map_mut_engine(self.workers, &self.counters, items, &f)
-    }
-
-    /// Snapshot of this pool's stats.
-    pub fn stats(&self) -> PoolStats {
-        self.counters.snapshot()
-    }
-
-    /// Records this pool's stats into `rec` (see [`record_stats`]).
-    pub fn record_stats(&self, rec: &Recorder) {
-        record_snapshot(rec, self.stats());
-    }
-}
-
-/// Order-preserving parallel map using the global thread knob.
-/// Equivalent to `items.iter().map(f).collect()` — bit-for-bit — at any
-/// worker count; panics from `f` propagate to the caller.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    map_engine(current_threads(), &GLOBAL, items, &f)
-}
-
-/// [`par_map`] that stays sequential below `min_len` items — the cutoff
-/// call sites use so scoped-spawn overhead never dominates tiny inputs.
+/// Order-preserving parallel map using the global thread knob, staying
+/// sequential below `min_len` items — the cutoff call sites use so
+/// scoped-spawn overhead never dominates tiny inputs. Equivalent to
+/// `items.iter().map(f).collect()` — bit-for-bit — at any worker count;
+/// panics from `f` propagate to the caller.
 pub fn par_map_min<T, R, F>(items: &[T], min_len: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -261,51 +119,7 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let workers = if items.len() < min_len { 1 } else { current_threads() };
-    map_engine(workers, &GLOBAL, items, &f)
-}
-
-/// [`par_map_min`] with a shared read-only context threaded to every
-/// worker alongside the item's index: `f(ctx, i, &items[i])`.
-///
-/// This is the parent-context plumbing the tracing layer uses for
-/// parallel fan-outs: the caller pre-allocates per-item span ids (or
-/// any other per-item state) *sequentially*, passes the lot as `ctx`,
-/// and each worker addresses its own slot by index — so annotations
-/// land on the right span no matter how workers interleave, and the
-/// result stays index-for-index identical to the sequential map.
-pub fn par_map_ctx<T, R, C, F>(items: &[T], min_len: usize, ctx: &C, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    C: Sync,
-    F: Fn(&C, usize, &T) -> R + Sync,
-{
-    let indexed: Vec<usize> = (0..items.len()).collect();
-    let workers = if items.len() < min_len { 1 } else { current_threads() };
-    map_engine(workers, &GLOBAL, &indexed, &|&i| f(ctx, i, &items[i]))
-}
-
-/// Chunked parallel map using the global thread knob: `f` maps each
-/// contiguous chunk of up to `chunk_size` items; outputs are
-/// concatenated in input order.
-pub fn par_map_chunks<T, R, F>(items: &[T], chunk_size: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> Vec<R> + Sync,
-{
-    map_chunks_engine(current_threads(), &GLOBAL, items, chunk_size, &f)
-}
-
-/// Order-preserving parallel map over mutable items using the global
-/// thread knob (contiguous static partitioning).
-pub fn par_map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(&mut T) -> R + Sync,
-{
-    map_mut_engine(current_threads(), &GLOBAL, items, &f)
+    map_engine(workers, items, &f)
 }
 
 /// Core engine: workers pull item indices from a shared atomic cursor,
@@ -313,7 +127,7 @@ where
 /// mutex-guarded sink; the merge is sorted by index, so the output order
 /// is independent of scheduling. Worker panics surface through
 /// [`std::thread::scope`]'s join-on-exit.
-fn map_engine<T, R, F>(workers: usize, c: &Counters, items: &[T], f: &F) -> Vec<R>
+fn map_engine<T, R, F>(workers: usize, items: &[T], f: &F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -322,18 +136,13 @@ where
     let n = items.len();
     let w = workers.min(n);
     if w <= 1 {
-        c.seq_calls.fetch_add(1, Ordering::Relaxed);
-        c.tasks.fetch_add(n as u64, Ordering::Relaxed);
         return items.iter().map(f).collect();
     }
-    c.par_calls.fetch_add(1, Ordering::Relaxed);
-    c.tasks.fetch_add(n as u64, Ordering::Relaxed);
     let next = AtomicUsize::new(0);
     let sink: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
     std::thread::scope(|s| {
         for _ in 0..w {
             s.spawn(|| {
-                let started = Instant::now();
                 let mut local: Vec<(usize, R)> = Vec::new();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -342,8 +151,6 @@ where
                     }
                     local.push((i, f(&items[i])));
                 }
-                c.chunks.fetch_add(local.len() as u64, Ordering::Relaxed);
-                c.busy_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 sink.lock().append(&mut local);
             });
         }
@@ -352,97 +159,6 @@ where
     tagged.sort_unstable_by_key(|&(i, _)| i);
     debug_assert_eq!(tagged.len(), n);
     tagged.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Chunked engine: like [`map_engine`] but the dispatch unit is a
-/// contiguous chunk; per-chunk outputs are flattened in chunk order.
-fn map_chunks_engine<T, R, F>(
-    workers: usize,
-    c: &Counters,
-    items: &[T],
-    chunk_size: usize,
-    f: &F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> Vec<R> + Sync,
-{
-    let chunk_size = chunk_size.max(1);
-    let chunks: Vec<&[T]> = items.chunks(chunk_size).collect();
-    let w = workers.min(chunks.len());
-    if w <= 1 {
-        c.seq_calls.fetch_add(1, Ordering::Relaxed);
-        c.tasks.fetch_add(items.len() as u64, Ordering::Relaxed);
-        c.chunks.fetch_add(chunks.len() as u64, Ordering::Relaxed);
-        return chunks.into_iter().flat_map(f).collect();
-    }
-    c.par_calls.fetch_add(1, Ordering::Relaxed);
-    c.tasks.fetch_add(items.len() as u64, Ordering::Relaxed);
-    c.chunks.fetch_add(chunks.len() as u64, Ordering::Relaxed);
-    let next = AtomicUsize::new(0);
-    let sink: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(chunks.len()));
-    std::thread::scope(|s| {
-        for _ in 0..w {
-            s.spawn(|| {
-                let started = Instant::now();
-                let mut local: Vec<(usize, Vec<R>)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= chunks.len() {
-                        break;
-                    }
-                    local.push((i, f(chunks[i])));
-                }
-                c.busy_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                sink.lock().append(&mut local);
-            });
-        }
-    });
-    let mut tagged = sink.into_inner();
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    tagged.into_iter().flat_map(|(_, rs)| rs).collect()
-}
-
-/// Mutable engine: the slice is split into one contiguous chunk per
-/// worker via `chunks_mut` (disjoint borrows, no unsafe); per-chunk
-/// results are concatenated in chunk order, so the output matches the
-/// sequential map exactly.
-fn map_mut_engine<T, R, F>(workers: usize, c: &Counters, items: &mut [T], f: &F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(&mut T) -> R + Sync,
-{
-    let n = items.len();
-    let w = workers.min(n);
-    if w <= 1 {
-        c.seq_calls.fetch_add(1, Ordering::Relaxed);
-        c.tasks.fetch_add(n as u64, Ordering::Relaxed);
-        return items.iter_mut().map(f).collect();
-    }
-    c.par_calls.fetch_add(1, Ordering::Relaxed);
-    c.tasks.fetch_add(n as u64, Ordering::Relaxed);
-    let chunk = n.div_ceil(w);
-    let parts: Vec<Vec<R>> = std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .map(|ch| {
-                s.spawn(move || {
-                    let started = Instant::now();
-                    let out: Vec<R> = ch.iter_mut().map(f).collect();
-                    c.chunks.fetch_add(1, Ordering::Relaxed);
-                    c.busy_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    });
-    parts.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -454,101 +170,57 @@ mod tests {
         let items: Vec<u64> = (0..1000).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
         for w in [1, 2, 3, 8, 16] {
-            let pool = Pool::new(w);
-            assert_eq!(pool.map(&items, |x| x * 3 + 1), expect, "workers={w}");
+            let got = with_threads(w, || {
+                assert_eq!(current_threads(), w);
+                par_map_min(&items, 2, |x| x * 3 + 1)
+            });
+            assert_eq!(got, expect, "workers={w}");
         }
-    }
-
-    #[test]
-    fn par_map_chunks_matches_flat_map() {
-        let items: Vec<i64> = (0..257).collect();
-        let expect: Vec<i64> = items.iter().map(|x| -x).collect();
-        for (w, cs) in [(1, 7), (4, 1), (4, 16), (8, 300)] {
-            let pool = Pool::new(w);
-            let got = pool.map_chunks(&items, cs, |ch| ch.iter().map(|x| -x).collect());
-            assert_eq!(got, expect, "workers={w} chunk={cs}");
-        }
-    }
-
-    #[test]
-    fn par_map_mut_mutates_and_preserves_order() {
-        let mut items: Vec<u32> = (0..100).collect();
-        let pool = Pool::new(5);
-        let doubled = pool.map_mut(&mut items, |x| {
-            *x += 1;
-            *x * 2
-        });
-        let expect_items: Vec<u32> = (1..=100).collect();
-        let expect_out: Vec<u32> = expect_items.iter().map(|x| x * 2).collect();
-        assert_eq!(items, expect_items);
-        assert_eq!(doubled, expect_out);
     }
 
     #[test]
     fn empty_and_single_inputs() {
-        let pool = Pool::new(8);
-        let empty: Vec<u8> = Vec::new();
-        assert!(pool.map(&empty, |x| *x).is_empty());
-        assert_eq!(pool.map(&[9u8], |x| *x + 1), vec![10]);
-        assert!(pool.map_chunks(&empty, 4, |ch| ch.to_vec()).is_empty());
+        with_threads(8, || {
+            let empty: Vec<u8> = Vec::new();
+            assert!(par_map_min(&empty, 0, |x| *x).is_empty());
+            assert_eq!(par_map_min(&[9u8], 0, |x| *x + 1), vec![10]);
+        });
     }
 
     #[test]
     fn worker_panic_propagates() {
-        let pool = Pool::new(4);
         let items: Vec<u32> = (0..64).collect();
-        let result = std::panic::catch_unwind(|| {
-            pool.map(&items, |x| {
-                if *x == 33 {
-                    panic!("boom at {x}");
-                }
-                *x
+        let result = with_threads(4, || {
+            std::panic::catch_unwind(|| {
+                par_map_min(&items, 2, |x| {
+                    if *x == 33 {
+                        panic!("boom at {x}");
+                    }
+                    *x
+                })
             })
         });
         assert!(result.is_err());
     }
 
     #[test]
-    fn stats_count_tasks_and_calls() {
-        let pool = Pool::new(4);
-        let items: Vec<u32> = (0..50).collect();
-        pool.map(&items, |x| *x);
-        let one = [1u32];
-        pool.map(&one, |x| *x); // sequential fallback (single item)
-        let s = pool.stats();
-        assert_eq!(s.par_calls, 1);
-        assert_eq!(s.seq_calls, 1);
-        assert_eq!(s.tasks, 51);
-        assert!(s.chunks >= 1);
-    }
-
-    #[test]
-    fn record_stats_exports_counters() {
-        let pool = Pool::new(2);
-        let items: Vec<u32> = (0..10).collect();
-        pool.map(&items, |x| *x);
-        let rec = Recorder::enabled();
-        pool.record_stats(&rec);
-        let m = rec.metrics_snapshot().unwrap();
-        assert_eq!(m.counter("par.tasks_run"), 10);
-        assert_eq!(m.counter("par.calls_parallel"), 1);
-    }
-
-    #[test]
-    fn par_map_ctx_passes_context_and_index() {
-        let items: Vec<u64> = (10..20).collect();
-        let slots: Vec<Mutex<u64>> = (0..items.len()).map(|_| Mutex::new(0)).collect();
-        let out = par_map_ctx(&items, 1, &slots, |slots, i, &x| {
-            *slots[i].lock() = x; // each worker writes only its own slot
-            x * 2
+    fn with_threads_overrides_and_restores_on_unwind() {
+        let caught = std::panic::catch_unwind(|| {
+            with_threads(3, || {
+                assert_eq!(current_threads(), 3);
+                panic!("unwind through the override");
+            })
         });
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        let written: Vec<u64> = slots.iter().map(|s| *s.lock()).collect();
-        assert_eq!(written, items);
+        assert!(caught.is_err());
+        // Every override in this binary is set and cleared under the
+        // lock, so holding it the raw override must be back to "not set".
+        let _lock = THREADS_LOCK.lock();
+        assert_eq!(THREAD_OVERRIDE.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn set_threads_overrides_and_clears() {
+        let _lock = THREADS_LOCK.lock();
         set_threads(3);
         assert_eq!(current_threads(), 3);
         set_threads(1);

@@ -1,62 +1,23 @@
-//! Property tests: every `sor-par` combinator must be indistinguishable
-//! from its sequential counterpart — for arbitrary inputs, at every
-//! worker count from 1 through 16 — and worker panics must propagate.
+//! Property tests: `par_map_min` must be indistinguishable from the
+//! sequential map — for arbitrary inputs, at every worker count from 1
+//! through 16 — and worker panics must propagate.
 
 use proptest::prelude::*;
-use sor_par::Pool;
+use sor_par::{current_threads, par_map_min, with_threads};
 
 proptest! {
-    /// `par_map` equals the sequential map, element for element, at
+    /// `par_map_min` equals the sequential map, element for element, at
     /// every worker count 1..16.
     #[test]
     fn par_map_equals_sequential(items in proptest::collection::vec(any::<i64>(), 0..200)) {
         let expect: Vec<i64> = items.iter().map(|x| x.wrapping_mul(31).wrapping_add(7)).collect();
         for w in 1..16usize {
-            let pool = Pool::new(w);
-            let got = pool.map(&items, |x| x.wrapping_mul(31).wrapping_add(7));
+            let got = with_threads(w, || {
+                assert_eq!(current_threads(), w);
+                par_map_min(&items, 2, |x| x.wrapping_mul(31).wrapping_add(7))
+            });
             prop_assert_eq!(&got, &expect, "workers={}", w);
         }
-    }
-
-    /// Chunked mapping flattens back to the sequential result whatever
-    /// the chunk size and worker count.
-    #[test]
-    fn par_map_chunks_equals_sequential(
-        items in proptest::collection::vec(any::<u32>(), 0..200),
-        chunk in 1usize..40,
-        workers in 1usize..16,
-    ) {
-        let expect: Vec<u64> = items.iter().map(|&x| u64::from(x) * 2 + 1).collect();
-        let pool = Pool::new(workers);
-        let got = pool.map_chunks(&items, chunk, |ch| {
-            ch.iter().map(|&x| u64::from(x) * 2 + 1).collect()
-        });
-        prop_assert_eq!(got, expect);
-    }
-
-    /// Mutable mapping applies the same mutation in the same order as a
-    /// sequential `iter_mut` pass.
-    #[test]
-    fn par_map_mut_equals_sequential(
-        items in proptest::collection::vec(any::<i32>(), 0..150),
-        workers in 1usize..16,
-    ) {
-        let mut seq = items.clone();
-        let seq_out: Vec<i64> = seq
-            .iter_mut()
-            .map(|x| {
-                *x = x.wrapping_add(5);
-                i64::from(*x) - 1
-            })
-            .collect();
-        let mut par = items.clone();
-        let pool = Pool::new(workers);
-        let par_out = pool.map_mut(&mut par, |x| {
-            *x = x.wrapping_add(5);
-            i64::from(*x) - 1
-        });
-        prop_assert_eq!(par, seq);
-        prop_assert_eq!(par_out, seq_out);
     }
 
     /// A panic in any task reaches the caller at every worker count.
@@ -64,15 +25,16 @@ proptest! {
     fn panics_propagate(len in 1usize..100, workers in 1usize..16) {
         let items: Vec<usize> = (0..len).collect();
         let bomb = len / 2;
-        let pool = Pool::new(workers);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.map(&items, |&x| {
-                if x == bomb {
-                    panic!("bomb");
-                }
-                x
+        let caught = with_threads(workers, || {
+            std::panic::catch_unwind(|| {
+                par_map_min(&items, 2, |&x| {
+                    if x == bomb {
+                        panic!("bomb");
+                    }
+                    x
+                })
             })
-        }));
+        });
         prop_assert!(caught.is_err());
     }
 }

@@ -805,27 +805,26 @@ impl SensingServer {
         // deterministic; workers only annotate their own span (and bump
         // order-free counters), so traces and metrics stay identical at
         // any SOR_THREADS.
-        let miss_spans: Vec<SpanId> = misses
+        let jobs: Vec<(SpanId, usize)> = misses
             .iter()
             .map(|&k| {
                 let s = self.recorder.span_start_with_parent("server.rank_request", self.now, span);
                 self.recorder.span_attr(s, "category", requests[k].0);
-                s
+                (s, k)
             })
             .collect();
         let db = self.db.db();
         let apps = &self.apps;
-        let shared = (db, apps, &self.recorder, requests, &miss_spans);
+        let recorder = &self.recorder;
         let computed: Vec<Result<CategoryRanking, ServerError>> =
-            sor_par::par_map_ctx(&misses, 2, &shared, |c, i, &k| {
-                let (db, apps, recorder, requests, spans) = *c;
+            sor_par::par_map_min(&jobs, 2, |&(request_span, k)| {
                 let (category, prefs) = &requests[k];
                 let res = rank_category(db, apps, category, prefs);
-                recorder.span_attr_with(spans[i], "ok", || res.is_ok().to_string());
+                recorder.span_attr_with(request_span, "ok", || res.is_ok().to_string());
                 res
             });
-        for (i, (&k, res)) in misses.iter().zip(computed).enumerate() {
-            self.recorder.span_end(miss_spans[i], self.now);
+        for (&(request_span, k), res) in jobs.iter().zip(computed) {
+            self.recorder.span_end(request_span, self.now);
             if let Ok(ranking) = &res {
                 let (category, prefs) = &requests[k];
                 let key = RankCache::fingerprint(category, prefs);
@@ -1493,7 +1492,9 @@ mod tests {
 
     #[test]
     fn rank_many_matches_individual_ranks_in_order() {
-        let s = two_cafe_server();
+        let rec = Recorder::enabled();
+        let mut s = two_cafe_server();
+        s.set_recorder(rec.clone());
         let warm = UserPreferences::new("w", vec![sor_core::ranking::Preference::value(75.0, 5)]);
         let cold = UserPreferences::new("c", vec![sor_core::ranking::Preference::value(60.0, 5)]);
         let requests: Vec<(&str, &UserPreferences)> = vec![
@@ -1502,9 +1503,35 @@ mod tests {
             ("museum", &warm), // empty category: an error slot
             ("coffee-shop", &warm),
         ];
-        sor_par::set_threads(8);
-        let batch = s.rank_many(&requests);
-        sor_par::set_threads(0);
+        let batch = sor_par::with_threads(8, || {
+            let batch = s.rank_many(&requests);
+            assert_eq!(sor_par::current_threads(), 8);
+            batch
+        });
+        // Each worker annotates its own request's span: the spans hang
+        // off the one batch span and carry their request's outcome in
+        // request order.
+        let trace = rec.trace_snapshot().unwrap();
+        let batch_spans: Vec<_> = trace.spans_named("server.rank_many").collect();
+        assert_eq!(batch_spans.len(), 1);
+        let attr = |span: &sor_obs::Span, key: &str| {
+            span.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()).unwrap_or_default()
+        };
+        let per_request: Vec<(String, String)> = trace
+            .spans_named("server.rank_request")
+            .map(|span| {
+                assert_eq!(span.parent, Some(batch_spans[0].id));
+                (attr(span, "category"), attr(span, "ok"))
+            })
+            .collect();
+        let expect = [
+            ("coffee-shop", "true"),
+            ("coffee-shop", "true"),
+            ("museum", "false"),
+            ("coffee-shop", "true"),
+        ]
+        .map(|(category, ok)| (category.to_string(), ok.to_string()));
+        assert_eq!(per_request, expect);
         assert_eq!(batch.len(), 4);
         assert_eq!(batch[0].as_ref().unwrap().order, vec!["warm cafe", "cold cafe"]);
         assert_eq!(batch[1].as_ref().unwrap().order, vec!["cold cafe", "warm cafe"]);

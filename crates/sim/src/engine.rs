@@ -90,20 +90,6 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|e| e.at)
     }
 
-    /// Pops the next event only when `pred` approves it; otherwise the
-    /// queue is left untouched. Lets callers gather maximal runs of
-    /// same-instant events (e.g. a batch of phone sweeps) without
-    /// re-scheduling anything — a pushed-back event would get a fresh
-    /// sequence number and lose its FIFO slot.
-    pub fn pop_if(&mut self, pred: impl FnOnce(f64, &E) -> bool) -> Option<(f64, E)> {
-        let head = self.heap.peek()?;
-        if pred(head.at, &head.event) {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
     /// The time of the most recently popped event.
     pub fn now(&self) -> f64 {
         self.now

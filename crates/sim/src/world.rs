@@ -263,16 +263,6 @@ impl SorWorld {
     }
 
     /// Runs the event loop until the queue drains or `until` passes.
-    ///
-    /// Runs of same-instant [`WorldEvent::PhoneSweep`]s over distinct
-    /// phones are stepped on the worker pool: phones are independent
-    /// between world events (sensor reads come from shared immutable
-    /// environments and the energy meter's integer-microjoule adds
-    /// commute), so the batched step is bit-identical to the sequential
-    /// one. Message forwarding and rescheduling stay in pop order, so
-    /// transport RNG draws and queue FIFO numbers are unchanged.
-    /// Batching is skipped while a trace recorder is live — span and
-    /// counter ordering inside `advance_to` must stay sequential.
     pub fn run_until(&mut self, until: f64) {
         while let Some(t) = self.queue.peek_time() {
             if t > until {
@@ -281,73 +271,11 @@ impl SorWorld {
             let (now, event) = self.queue.pop().expect("peeked");
             self.recorder.observe("sim.queue_depth", self.queue.len() as f64);
             self.recorder.count_labeled("sim.events_dispatched", event_kind(&event), 1);
-            if let WorldEvent::PhoneSweep { phone, interval, until: sweep_until } = event {
-                let batch = self.collect_sweep_batch(now, phone, interval, sweep_until);
-                self.dispatch_sweeps(now, batch);
-            } else {
-                self.dispatch(now, event);
-            }
+            self.dispatch(now, event);
         }
         // Settle clocks at the horizon.
         if self.server.now() < until {
             self.server.tick(until);
-        }
-    }
-
-    /// Gathers the maximal run of sweeps at `now` over distinct phones,
-    /// starting from one already-popped sweep. Returns just that sweep
-    /// when batching cannot help (single worker) or must not happen
-    /// (live trace recorder).
-    fn collect_sweep_batch(
-        &mut self,
-        now: f64,
-        phone: usize,
-        interval: f64,
-        sweep_until: f64,
-    ) -> Vec<(usize, f64, f64)> {
-        let mut batch = vec![(phone, interval, sweep_until)];
-        if self.recorder.is_enabled() || sor_par::current_threads() <= 1 {
-            return batch;
-        }
-        while let Some((_, WorldEvent::PhoneSweep { phone, interval, until })) =
-            self.queue.pop_if(|t, e| {
-                t == now
-                    && matches!(e, WorldEvent::PhoneSweep { phone, .. }
-                        if !batch.iter().any(|(p, _, _)| p == phone))
-            })
-        {
-            batch.push((phone, interval, until));
-        }
-        batch
-    }
-
-    /// Steps every phone in `batch` to `now` (in parallel when the batch
-    /// has more than one phone), then forwards their outgoing messages
-    /// and re-arms their sweep timers in the original pop order.
-    fn dispatch_sweeps(&mut self, now: f64, batch: Vec<(usize, f64, f64)>) {
-        // The batched branch only runs with the recorder off (see
-        // collect_sweep_batch), where no upload carries a context, so
-        // plain advance_to loses nothing.
-        let outgoing: Vec<Vec<(Message, Option<TraceContext>)>> = if batch.len() > 1 {
-            let mut slots: Vec<Option<&mut MobileFrontend>> =
-                self.phones.iter_mut().map(Some).collect();
-            let mut stepping: Vec<&mut MobileFrontend> =
-                batch.iter().map(|&(p, _, _)| slots[p].take().expect("distinct phones")).collect();
-            sor_par::par_map_mut(&mut stepping, |phone| phone.advance_to(now))
-                .into_iter()
-                .map(|msgs| msgs.into_iter().map(|m| (m, None)).collect())
-                .collect()
-        } else {
-            vec![self.phones[batch[0].0].advance_to_ctx(now)]
-        };
-        for (&(phone, interval, sweep_until), msgs) in batch.iter().zip(outgoing) {
-            self.forward_phone_messages(now, msgs);
-            if now + interval <= sweep_until {
-                self.queue.schedule(
-                    now + interval,
-                    WorldEvent::PhoneSweep { phone, interval, until: sweep_until },
-                );
-            }
         }
     }
 
@@ -362,7 +290,14 @@ impl SorWorld {
                 self.post(now, Endpoint::Server, &req);
             }
             WorldEvent::PhoneSweep { phone, interval, until } => {
-                self.dispatch_sweeps(now, vec![(phone, interval, until)]);
+                let msgs = self.phones[phone].advance_to_ctx(now);
+                self.forward_phone_messages(now, msgs);
+                if now + interval <= until {
+                    self.queue.schedule(
+                        now + interval,
+                        WorldEvent::PhoneSweep { phone, interval, until },
+                    );
+                }
             }
             WorldEvent::LivenessCheck { interval, threshold, until } => {
                 self.server.tick(now);

@@ -9,8 +9,8 @@ use sor_sensors::environment::presets;
 use sor_sensors::{SensorKind, SensorManager, SimulatedProvider};
 use sor_server::{ApplicationSpec, Extractor, FeatureSpec, SensingServer};
 use sor_sim::scenario::{
-    run_coffee_field_test_traced, run_scheduling_sim_traced, run_trail_field_test_traced,
-    FieldTestConfig, SchedulingConfig,
+    profiles, run_coffee_field_test, run_coffee_field_test_traced, run_scheduling_sim_traced,
+    run_trail_field_test_traced, FieldTestConfig, SchedulingConfig,
 };
 use sor_sim::{SorWorld, Transport, TransportConfig};
 
@@ -120,6 +120,28 @@ fn golden_trace_is_deterministic_per_seed() {
     assert!(csv_a.contains("script.runs"), "csv:\n{csv_a}");
     assert!(csv_a.contains("store.rows_inserted.records"), "csv:\n{csv_a}");
     assert!(tjson_a.contains("server.process_data"), "trace must span data processing");
+}
+
+/// Turning tracing on must not change what the deployment computes:
+/// the untraced and traced runs of one seed collect the same data and
+/// rank the same way.
+#[test]
+fn tracing_does_not_change_the_outcome() {
+    let cfg = FieldTestConfig::quick(11);
+    let untraced = run_coffee_field_test(cfg).unwrap();
+    let traced = run_coffee_field_test_traced(cfg, Recorder::enabled()).unwrap();
+    assert_eq!(untraced.stats, traced.stats, "transport/ingest stats must match");
+    assert_eq!(untraced.app_ids, traced.app_ids);
+    assert_eq!(untraced.matrix, traced.matrix, "feature matrix must be bit-identical");
+    assert_eq!(untraced.energy_mj_per_place, traced.energy_mj_per_place);
+    for profile in [profiles::david(), profiles::emma()] {
+        assert_eq!(
+            untraced.server.rank("coffee-shop", &profile).unwrap().order,
+            traced.server.rank("coffee-shop", &profile).unwrap().order,
+            "ranking for {} must not depend on tracing",
+            profile.name
+        );
+    }
 }
 
 /// A different workload produces a different trace (the exports are not

@@ -13,13 +13,14 @@ use sor_sim::scenario::{
 /// every deterministic artefact: trace JSON, metrics JSON, and the final
 /// ranking order for two §V-B profiles.
 fn traced_run(threads: usize) -> (String, String, Vec<String>, Vec<String>) {
-    sor_par::set_threads(threads);
-    let rec = Recorder::enabled();
-    let outcome = run_coffee_field_test_traced(FieldTestConfig::quick(7), rec.clone()).unwrap();
-    let david = outcome.server.rank("coffee-shop", &profiles::david()).unwrap();
-    let emma = outcome.server.rank("coffee-shop", &profiles::emma()).unwrap();
-    sor_par::set_threads(0);
-    (rec.trace_json().unwrap(), rec.metrics_json().unwrap(), david.order, emma.order)
+    sor_par::with_threads(threads, || {
+        let rec = Recorder::enabled();
+        let outcome = run_coffee_field_test_traced(FieldTestConfig::quick(7), rec.clone()).unwrap();
+        let david = outcome.server.rank("coffee-shop", &profiles::david()).unwrap();
+        let emma = outcome.server.rank("coffee-shop", &profiles::emma()).unwrap();
+        assert_eq!(sor_par::current_threads(), threads);
+        (rec.trace_json().unwrap(), rec.metrics_json().unwrap(), david.order, emma.order)
+    })
 }
 
 #[test]
@@ -34,14 +35,17 @@ fn traced_field_test_is_identical_at_one_and_eight_workers() {
 
 #[test]
 fn untraced_field_test_outcome_is_identical_at_one_and_eight_workers() {
-    // Untraced is the configuration where the sim's batched parallel
-    // phone stepping actually engages (batching is disabled while a
-    // trace recorder is live).
-    sor_par::set_threads(1);
-    let seq = run_coffee_field_test(FieldTestConfig::quick(11)).unwrap();
-    sor_par::set_threads(8);
-    let par = run_coffee_field_test(FieldTestConfig::quick(11)).unwrap();
-    sor_par::set_threads(0);
+    // Untraced, the worker count still drives inbox decode, `rank_many`,
+    // the ranker columns and the lazy-greedy first round.
+    let run = |threads| {
+        sor_par::with_threads(threads, || {
+            let outcome = run_coffee_field_test(FieldTestConfig::quick(11)).unwrap();
+            assert_eq!(sor_par::current_threads(), threads);
+            outcome
+        })
+    };
+    let seq = run(1);
+    let par = run(8);
     assert_eq!(seq.stats, par.stats, "transport/ingest stats must match");
     assert_eq!(seq.app_ids, par.app_ids);
     assert_eq!(seq.matrix, par.matrix, "feature matrix must be bit-identical");

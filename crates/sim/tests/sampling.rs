@@ -106,11 +106,15 @@ fn sampled_export_and_dashboard_identical_at_one_and_eight_workers() {
         );
         (trace_json, metrics_json, windows_json, health, dashboard)
     };
-    sor_par::set_threads(1);
-    let one = run();
-    sor_par::set_threads(8);
-    let eight = run();
-    sor_par::set_threads(0); // back to SOR_THREADS / auto-detect
+    let run_at = |threads| {
+        sor_par::with_threads(threads, || {
+            let exports = run();
+            assert_eq!(sor_par::current_threads(), threads);
+            exports
+        })
+    };
+    let one = run_at(1);
+    let eight = run_at(8);
     assert_eq!(one.0, eight.0, "sampled trace must not depend on worker count");
     assert_eq!(one.1, eight.1, "metrics + sampler accounting must not depend on worker count");
     assert_eq!(one.2, eight.2, "window summary must not depend on worker count");

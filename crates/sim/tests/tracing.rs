@@ -56,16 +56,16 @@ fn causal_chain_links_dispatch_to_rank_across_components() {
 /// parent links never depend on worker interleaving.
 #[test]
 fn golden_trace_is_identical_at_one_and_eight_workers() {
-    let run = || {
-        let rec = Recorder::enabled();
-        run_coffee_field_test_traced(FieldTestConfig::quick(5), rec.clone()).unwrap();
-        (rec.trace_json().unwrap(), rec.metrics_json().unwrap())
+    let run = |threads| {
+        sor_par::with_threads(threads, || {
+            let rec = Recorder::enabled();
+            run_coffee_field_test_traced(FieldTestConfig::quick(5), rec.clone()).unwrap();
+            assert_eq!(sor_par::current_threads(), threads);
+            (rec.trace_json().unwrap(), rec.metrics_json().unwrap())
+        })
     };
-    sor_par::set_threads(1);
-    let (trace_one, metrics_one) = run();
-    sor_par::set_threads(8);
-    let (trace_eight, metrics_eight) = run();
-    sor_par::set_threads(0); // back to SOR_THREADS / auto-detect
+    let (trace_one, metrics_one) = run(1);
+    let (trace_eight, metrics_eight) = run(8);
     assert_eq!(trace_one, trace_eight, "trace must not depend on worker count");
     assert_eq!(metrics_one, metrics_eight, "metrics must not depend on worker count");
 }

@@ -20,6 +20,28 @@ run cargo build --release --offline --workspace
 # change what any test observes, only how fast it runs.
 run env SOR_THREADS=1 cargo test -q --offline --workspace
 run env SOR_THREADS=4 cargo test -q --offline --workspace
+
+# Recorded-results gate: at one worker and at four, the paper-reproduction
+# binaries must reproduce results/ byte for byte (stdout and stderr
+# together). `ablation` is left out because it prints wall times.
+bin_dir=${CARGO_TARGET_DIR:-target}/release
+results_match() {
+    # $1: SOR_THREADS, $2: recorded file, rest: binary and its arguments.
+    threads=$1
+    expected=$2
+    shift 2
+    if ! env SOR_THREADS="$threads" "$@" 2>&1 | cmp -s - "$expected"; then
+        echo "FAIL '$*' output differs from $expected at SOR_THREADS=$threads" >&2
+        return 1
+    fi
+}
+for threads in 1 4; do
+    for bin in table1 table2 fig6 fig10 fig14; do
+        results_match "$threads" "results/$bin.txt" "$bin_dir/$bin"
+    done
+    results_match "$threads" results/fig14.csv "$bin_dir/fig14" csv
+    echo "==> results/ reproduced byte-identically at SOR_THREADS=$threads"
+done
 # The benchmark is a package of its own: its smoke test runs every
 # workload at --smoke and requires the same output digest at
 # SOR_THREADS=1 and 2.

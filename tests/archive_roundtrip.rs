@@ -21,33 +21,29 @@ struct LiveRun {
     sealed: Vec<u8>,
 }
 
-/// `set_threads` is process-global; tests that touch it must not
-/// interleave or `meta.threads` would record a racing override.
-static THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 fn run_once(threads: usize) -> LiveRun {
-    let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    sor_par::set_threads(threads);
-    let rec = Recorder::enabled();
-    let cfg = FieldTestConfig::quick(3);
-    let out = run_coffee_field_test_traced(cfg, rec.clone()).expect("field test");
-    // Rebuild the live export by hand — independently of the archive
-    // hook — so the byte-identity below compares two separate paths.
-    let raw = rec.trace_snapshot().expect("trace");
-    let (sampled, stats) = sample_trace(&raw, &SamplePolicy::from_env(cfg.seed));
-    let mut metrics = rec.metrics_snapshot().expect("metrics");
-    stats.record_into(&mut metrics);
-    let (archive, _) =
-        out.archive(&rec, &cfg, "coffee_field_test", "test-sha").expect("archive hook");
-    sor_par::set_threads(0);
-    LiveRun {
-        trace_json: sampled.to_json(),
-        metrics_json: metrics.to_json(),
-        windows_json: out.windows.as_ref().map(WindowRing::summary_json).unwrap_or_default(),
-        health_txt: out.health.as_ref().map(|h| h.render()).unwrap_or_default(),
-        tree: sampled.render_tree(),
-        sealed: seal(&archive.to_bytes()),
-    }
+    sor_par::with_threads(threads, || {
+        let rec = Recorder::enabled();
+        let cfg = FieldTestConfig::quick(3);
+        let out = run_coffee_field_test_traced(cfg, rec.clone()).expect("field test");
+        // Rebuild the live export by hand — independently of the archive
+        // hook — so the byte-identity below compares two separate paths.
+        let raw = rec.trace_snapshot().expect("trace");
+        let (sampled, stats) = sample_trace(&raw, &SamplePolicy::from_env(cfg.seed));
+        let mut metrics = rec.metrics_snapshot().expect("metrics");
+        stats.record_into(&mut metrics);
+        let (archive, _) =
+            out.archive(&rec, &cfg, "coffee_field_test", "test-sha").expect("archive hook");
+        assert_eq!(sor_par::current_threads(), threads);
+        LiveRun {
+            trace_json: sampled.to_json(),
+            metrics_json: metrics.to_json(),
+            windows_json: out.windows.as_ref().map(WindowRing::summary_json).unwrap_or_default(),
+            health_txt: out.health.as_ref().map(|h| h.render()).unwrap_or_default(),
+            tree: sampled.render_tree(),
+            sealed: seal(&archive.to_bytes()),
+        }
+    })
 }
 
 #[test]
