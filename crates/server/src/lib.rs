@@ -14,7 +14,10 @@
 //! - [`processor::DataProcessor`] — drains the binary inbox (uploads are
 //!   stored as opaque blobs exactly as the paper describes), decodes
 //!   them, and turns raw `(t, Δt, d)` records into *feature data*
-//!   (means, windowed deviations, GPS curvature, altitude change).
+//!   (means, windowed deviations, GPS curvature, altitude change). Each
+//!   pass folds only its new records into [`processor::FeatureState`],
+//!   the running per-(application, feature) state every feature value
+//!   is derived from; it is rebuilt from the records table when missing.
 //! - [`ranker`] — assembles the feature matrix across places of one
 //!   category and runs the personalizable ranking of §IV.
 //! - [`viz`] — the "simple Visualization module": ASCII charts and CSV.

@@ -9,12 +9,22 @@
 //! to generate more meaningful data for various sensing features …
 //! which will then be stored into the database to serve as input for
 //! the Personalizable Ranker."
+//!
+//! A pass does not re-read that history. [`FeatureState`] keeps running
+//! state per (application, feature), fed only by the records the pass
+//! decodes, and every feature value is derived from it. Decoded records
+//! still land in the records table, from which the state is rebuilt
+//! whenever an application has none (a new or recovered server, or an
+//! application registered since the last pass).
+
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 use sor_obs::{Recorder, SpanId};
 use sor_proto::Message;
 use sor_store::{ColumnType, Database, Predicate, Schema, Value};
 
-use crate::feature::{FeatureSpec, RawRecord};
+use crate::feature::{FeatureSpec, RawRecord, RunningFeature};
 use crate::ServerError;
 
 /// Binary inbox table: whole frames stored untouched.
@@ -47,7 +57,9 @@ impl Default for InboxOutcome {
     }
 }
 
-/// The data processor. Stateless; all state is in the database.
+/// The data processor's table operations. Stateless: what a pass
+/// remembers between runs lives in the database and in the
+/// [`FeatureState`] it is handed.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DataProcessor;
 
@@ -109,16 +121,21 @@ impl DataProcessor {
         Ok(())
     }
 
-    /// The periodic pass: decodes every inbox blob into typed records
-    /// and clears the inbox. Returns how many records landed. Corrupt
-    /// blobs are dropped (and counted in the second tuple field) — a
-    /// poisoned upload must not wedge the pipeline.
+    /// The periodic pass: decodes every inbox blob into typed records,
+    /// folds each into `state`, and clears the inbox. Returns how many
+    /// records landed. Corrupt blobs are dropped (and counted in the
+    /// second tuple field) — a poisoned upload must not wedge the
+    /// pipeline.
     ///
     /// # Errors
     ///
     /// Storage errors.
-    pub fn process_inbox(&self, db: &mut Database) -> Result<(usize, usize), ServerError> {
-        let outcome = self.process_inbox_traced(db, &Recorder::disabled(), 0.0)?;
+    pub fn process_inbox(
+        &self,
+        db: &mut Database,
+        state: &mut FeatureState,
+    ) -> Result<(usize, usize), ServerError> {
+        let outcome = self.process_inbox_traced(db, state, &Recorder::disabled(), 0.0)?;
         Ok((outcome.stored, outcome.dropped))
     }
 
@@ -135,6 +152,7 @@ impl DataProcessor {
     pub fn process_inbox_traced(
         &self,
         db: &mut Database,
+        state: &mut FeatureState,
         recorder: &Recorder,
         now: f64,
     ) -> Result<InboxOutcome, ServerError> {
@@ -142,8 +160,8 @@ impl DataProcessor {
         // Frame decode is pure CPU with no shared state, so the drain
         // fans it out to the worker pool; the store commit below stays
         // sequential in inbox row order, so record row ids, WAL
-        // ordering, and span allocation are exactly what the sequential
-        // drain produces.
+        // ordering, span allocation and the feature-state fold are
+        // exactly what the sequential drain produces.
         type Decoded = Option<(i64, f64, u64, Vec<sor_proto::SensedRecord>, Option<u64>, u64)>;
         let decoded: Vec<Decoded> = sor_par::par_map_min(&blobs, PAR_DECODE_CUTOFF, |row| {
             let app_id = row.values[0].as_int().expect("schema");
@@ -191,6 +209,13 @@ impl DataProcessor {
                         Value::Bytes(enc.into_bytes()),
                     ],
                 )?;
+                let record = RawRecord {
+                    timestamp: r.timestamp,
+                    window: r.window,
+                    sensor: r.sensor,
+                    values: r.values,
+                };
+                state.fold(app_id as u64, &record);
                 outcome.stored += 1;
             }
             if span.is_real() {
@@ -224,45 +249,6 @@ impl DataProcessor {
         Ok(out)
     }
 
-    /// Computes all features of one application from its records and
-    /// upserts them into the features table. Features without enough
-    /// data are skipped (returned in the error list).
-    ///
-    /// # Errors
-    ///
-    /// Storage errors. Extraction failures do not abort the pass.
-    pub fn compute_features(
-        &self,
-        db: &mut Database,
-        app_id: u64,
-        specs: &[FeatureSpec],
-    ) -> Result<Vec<(String, ServerError)>, ServerError> {
-        let records = self.records_of(db, app_id)?;
-        let mut failures = Vec::new();
-        for spec in specs {
-            match spec.extract(&records) {
-                Ok(value) => {
-                    // Upsert: delete the stale value first.
-                    db.delete_where(
-                        FEATURES_TABLE,
-                        &Predicate::eq("app_id", Value::Int(app_id as i64))
-                            .and(Predicate::eq("feature", Value::text(&spec.name))),
-                    )?;
-                    db.insert(
-                        FEATURES_TABLE,
-                        vec![
-                            Value::Int(app_id as i64),
-                            Value::text(&spec.name),
-                            Value::Float(value),
-                        ],
-                    )?;
-                }
-                Err(e) => failures.push((spec.name.clone(), e)),
-            }
-        }
-        Ok(failures)
-    }
-
     /// Reads one feature value.
     ///
     /// # Errors
@@ -280,6 +266,97 @@ impl DataProcessor {
                 .and(Predicate::eq("feature", Value::text(feature))),
         )?;
         Ok(rows.first().map(|r| r.values[2].as_float().expect("schema")))
+    }
+}
+
+/// The Data Processor's running state: one `feature::RunningFeature`
+/// per (application, feature), in the application's feature order.
+///
+/// It is derived data, a fold over the records table in `RowId` order
+/// (the order [`DataProcessor::records_of`] returns). The inbox drain
+/// folds each record in right after inserting it, and only into
+/// applications that already have state. An application without state
+/// is rebuilt from `records_of` when its features are next written, so
+/// no record is counted twice. Only the drain writes the records table,
+/// and only by appending, so nothing else can make the state stale.
+#[derive(Debug, Default)]
+pub struct FeatureState {
+    apps: BTreeMap<u64, Vec<RunningFeature>>,
+}
+
+impl FeatureState {
+    /// Empty state: every application is rebuilt at its first write.
+    pub fn new() -> Self {
+        FeatureState::default()
+    }
+
+    /// Drops an application's state (its feature list may have
+    /// changed); the next write rebuilds it from the records table.
+    pub(crate) fn forget(&mut self, app_id: u64) {
+        self.apps.remove(&app_id);
+    }
+
+    /// Folds one just-stored record into its application's state.
+    fn fold(&mut self, app_id: u64, record: &RawRecord) {
+        if let Some(features) = self.apps.get_mut(&app_id) {
+            for feature in features {
+                feature.fold(record);
+            }
+        }
+    }
+
+    /// Upserts every feature of one application that has enough data,
+    /// in feature order, and returns the ones that do not (as
+    /// [`FeatureSpec::extract`] would fail on them). `specs` seeds the
+    /// state of an application that has none, which is first rebuilt
+    /// from its stored records.
+    ///
+    /// # Errors
+    ///
+    /// Storage or decode errors. Extraction failures do not abort the
+    /// pass.
+    pub(crate) fn write_features(
+        &mut self,
+        db: &mut Database,
+        app_id: u64,
+        specs: &[FeatureSpec],
+    ) -> Result<Vec<(String, ServerError)>, ServerError> {
+        let features = match self.apps.entry(app_id) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let mut features: Vec<RunningFeature> =
+                    specs.iter().map(RunningFeature::new).collect();
+                for record in DataProcessor.records_of(db, app_id)? {
+                    for feature in &mut features {
+                        feature.fold(&record);
+                    }
+                }
+                e.insert(features)
+            }
+        };
+        let mut failures = Vec::new();
+        for feature in features {
+            match feature.value() {
+                Ok(value) => {
+                    // Upsert: delete the stale value first.
+                    db.delete_where(
+                        FEATURES_TABLE,
+                        &Predicate::eq("app_id", Value::Int(app_id as i64))
+                            .and(Predicate::eq("feature", Value::text(feature.name()))),
+                    )?;
+                    db.insert(
+                        FEATURES_TABLE,
+                        vec![
+                            Value::Int(app_id as i64),
+                            Value::text(feature.name()),
+                            Value::Float(value),
+                        ],
+                    )?;
+                }
+                Err(e) => failures.push((feature.name().to_string(), e)),
+            }
+        }
+        Ok(failures)
     }
 }
 
@@ -310,7 +387,7 @@ mod tests {
         p.enqueue_raw(&mut db, 1, 0.0, &upload(5, 7, vec![70.0, 71.0])).unwrap();
         p.enqueue_raw(&mut db, 1, 0.0, &upload(5, 7, vec![72.0])).unwrap();
         p.enqueue_raw(&mut db, 2, 0.0, &upload(6, 7, vec![60.0])).unwrap();
-        let (stored, dropped) = p.process_inbox(&mut db).unwrap();
+        let (stored, dropped) = p.process_inbox(&mut db, &mut FeatureState::new()).unwrap();
         assert_eq!((stored, dropped), (3, 0));
         // Inbox cleared.
         assert_eq!(db.table(INBOX_TABLE).unwrap().len(), 0);
@@ -330,7 +407,7 @@ mod tests {
         p.enqueue_raw(&mut db, 1, 0.0, &upload(5, 7, vec![70.0])).unwrap();
         // A non-upload message in the inbox is also dropped.
         p.enqueue_raw(&mut db, 1, 0.0, &Message::WakeUp { token: 1 }.encode()).unwrap();
-        let (stored, dropped) = p.process_inbox(&mut db).unwrap();
+        let (stored, dropped) = p.process_inbox(&mut db, &mut FeatureState::new()).unwrap();
         assert_eq!((stored, dropped), (1, 2));
     }
 
@@ -338,17 +415,20 @@ mod tests {
     fn features_computed_and_upserted() {
         let mut db = db();
         let p = DataProcessor;
-        let spec = FeatureSpec::new("temp", "°F", Extractor::Mean { sensor: 7 }, 60.0);
+        let mut state = FeatureState::new();
+        let specs = [FeatureSpec::new("temp", "°F", Extractor::Mean { sensor: 7 }, 60.0)];
         p.enqueue_raw(&mut db, 1, 0.0, &upload(5, 7, vec![70.0, 72.0])).unwrap();
-        p.process_inbox(&mut db).unwrap();
-        let failures = p.compute_features(&mut db, 1, std::slice::from_ref(&spec)).unwrap();
+        p.process_inbox(&mut db, &mut state).unwrap();
+        // No state yet: the write rebuilds it from the records table.
+        let failures = state.write_features(&mut db, 1, &specs).unwrap();
         assert!(failures.is_empty());
         assert_eq!(p.feature_value(&db, 1, "temp").unwrap(), Some(71.0));
 
-        // More data arrives; recompute replaces the value.
+        // More data arrives; the drain folds it in and the write
+        // replaces the value.
         p.enqueue_raw(&mut db, 1, 0.0, &upload(5, 7, vec![80.0])).unwrap();
-        p.process_inbox(&mut db).unwrap();
-        p.compute_features(&mut db, 1, &[spec]).unwrap();
+        p.process_inbox(&mut db, &mut state).unwrap();
+        state.write_features(&mut db, 1, &specs).unwrap();
         assert_eq!(p.feature_value(&db, 1, "temp").unwrap(), Some(74.0));
         // Exactly one row per (app, feature).
         assert_eq!(db.table(FEATURES_TABLE).unwrap().len(), 1);
@@ -358,14 +438,37 @@ mod tests {
     fn missing_data_reports_failure_without_abort() {
         let mut db = db();
         let p = DataProcessor;
+        let mut state = FeatureState::new();
         let good = FeatureSpec::new("temp", "°F", Extractor::Mean { sensor: 7 }, 60.0);
         let bad = FeatureSpec::new("noise", "", Extractor::Mean { sensor: 2 }, 20.0);
         p.enqueue_raw(&mut db, 1, 0.0, &upload(5, 7, vec![70.0])).unwrap();
-        p.process_inbox(&mut db).unwrap();
-        let failures = p.compute_features(&mut db, 1, &[good, bad]).unwrap();
+        p.process_inbox(&mut db, &mut state).unwrap();
+        let failures = state.write_features(&mut db, 1, &[good, bad]).unwrap();
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].0, "noise");
         assert_eq!(p.feature_value(&db, 1, "temp").unwrap(), Some(70.0));
         assert_eq!(p.feature_value(&db, 1, "noise").unwrap(), None);
+    }
+
+    #[test]
+    fn all_negative_zero_mean_keeps_its_sign() {
+        // `Iterator::sum::<f64>` folds from -0.0, so the oracle's mean
+        // of only -0.0 readings is -0.0; a running sum seeded with +0.0
+        // would flip it to +0.0.
+        let mut db = db();
+        let p = DataProcessor;
+        let mut state = FeatureState::new();
+        let specs = [FeatureSpec::new("m", "", Extractor::Mean { sensor: 7 }, 60.0)];
+        p.enqueue_raw(&mut db, 1, 0.0, &upload(5, 7, vec![-0.0, -0.0])).unwrap();
+        p.process_inbox(&mut db, &mut state).unwrap();
+        state.write_features(&mut db, 1, &specs).unwrap();
+        // The second batch is folded into existing state, not rebuilt.
+        p.enqueue_raw(&mut db, 1, 0.0, &upload(5, 7, vec![-0.0])).unwrap();
+        p.process_inbox(&mut db, &mut state).unwrap();
+        state.write_features(&mut db, 1, &specs).unwrap();
+        let oracle = specs[0].extract(&p.records_of(&db, 1).unwrap()).unwrap();
+        assert_eq!(oracle.to_bits(), (-0.0f64).to_bits());
+        let stored = p.feature_value(&db, 1, "m").unwrap().unwrap();
+        assert_eq!(stored.to_bits(), oracle.to_bits());
     }
 }

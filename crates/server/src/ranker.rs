@@ -89,7 +89,7 @@ mod tests {
     use super::*;
     use crate::application::ApplicationSpec;
     use crate::feature::{Extractor, FeatureSpec};
-    use crate::processor::DataProcessor;
+    use crate::processor::{DataProcessor, FeatureState};
     use sor_core::ranking::Preference;
     use sor_proto::{Message, SensedRecord};
 
@@ -128,10 +128,10 @@ mod tests {
             .encode();
             DataProcessor.enqueue_raw(&mut db, id, 0.0, &frame).unwrap();
         }
-        DataProcessor.process_inbox(&mut db).unwrap();
+        let mut state = FeatureState::new();
+        DataProcessor.process_inbox(&mut db, &mut state).unwrap();
         for id in [1u64, 2] {
-            let specs = apps.get(id).unwrap().features.clone();
-            DataProcessor.compute_features(&mut db, id, &specs).unwrap();
+            state.write_features(&mut db, id, &apps.get(id).unwrap().features).unwrap();
         }
         (db, apps)
     }

@@ -16,7 +16,7 @@ use sor_store::{ColumnType, Database, Predicate, Schema, Value};
 use crate::application::{ApplicationManager, ApplicationSpec};
 use crate::cache::RankCache;
 use crate::participation::{ParticipantStatus, ParticipationManager};
-use crate::processor::DataProcessor;
+use crate::processor::{DataProcessor, FeatureState};
 use crate::ranker::{rank_category, CategoryRanking};
 use crate::user_info::UserInfoManager;
 use crate::ServerError;
@@ -39,6 +39,8 @@ pub struct SensingServer {
     apps: ApplicationManager,
     participation: ParticipationManager,
     processor: DataProcessor,
+    /// The Data Processor's running per-(application, feature) state.
+    feature_state: FeatureState,
     /// One online scheduler per application.
     schedulers: BTreeMap<u64, OnlineScheduler>,
     /// Last time each device token was heard from (liveness, §II-A's
@@ -138,6 +140,7 @@ impl SensingServer {
             apps: ApplicationManager::new(),
             participation,
             processor: DataProcessor,
+            feature_state: FeatureState::new(),
             schedulers: BTreeMap::new(),
             last_contact: BTreeMap::new(),
             now,
@@ -297,6 +300,9 @@ impl SensingServer {
             }
         }
         self.schedulers.insert(spec.app_id, scheduler);
+        // The feature list may have changed; the next pass rebuilds the
+        // running state from the stored records.
+        self.feature_state.forget(spec.app_id);
         self.apps.register(spec);
         Ok(())
     }
@@ -660,8 +666,10 @@ impl SensingServer {
         Ok(out)
     }
 
-    /// Runs the Data Processor pass: decode inbox, recompute features
-    /// for every application. Returns (records stored, blobs dropped).
+    /// Runs the Data Processor pass: decode the inbox, fold the new
+    /// records into the running feature state, and rewrite every
+    /// application's features from it. Returns (records stored, blobs
+    /// dropped).
     ///
     /// # Errors
     ///
@@ -669,14 +677,18 @@ impl SensingServer {
     pub fn process_data(&mut self) -> Result<(usize, usize), ServerError> {
         let span = self.recorder.span_start("server.process_data", self.now);
         let decode = self.recorder.span_start("server.process_data.decode", self.now);
-        let outcome =
-            match self.processor.process_inbox_traced(self.db.db_mut(), &self.recorder, self.now) {
-                Ok(outcome) => outcome,
-                Err(e) => {
-                    self.recorder.span_end(span, self.now);
-                    return Err(e);
-                }
-            };
+        let outcome = match self.processor.process_inbox_traced(
+            self.db.db_mut(),
+            &mut self.feature_state,
+            &self.recorder,
+            self.now,
+        ) {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                self.recorder.span_end(span, self.now);
+                return Err(e);
+            }
+        };
         if outcome.last_commit_span.is_real() {
             self.last_commit_span = outcome.last_commit_span;
         }
@@ -688,9 +700,9 @@ impl SensingServer {
 
         let features = self.recorder.span_start("server.process_data.features", self.now);
         for app_id in self.apps.ids() {
-            let specs = self.apps.get(app_id).expect("listed").features.clone();
+            let specs = &self.apps.get(app_id).expect("listed").features;
             // Missing features are fine mid-experiment.
-            match self.processor.compute_features(self.db.db_mut(), app_id, &specs) {
+            match self.feature_state.write_features(self.db.db_mut(), app_id, specs) {
                 Ok(failures) => {
                     self.recorder
                         .count("server.features_computed", (specs.len() - failures.len()) as u64);

@@ -8,8 +8,12 @@
 //! 2. every acked upload survives (with the default group-commit of 1
 //!    the WAL is flushed before the ack leaves the server);
 //! 3. when all data was acked, the final ranking is identical to the
-//!    crash-free run's ranking.
+//!    crash-free run's ranking;
+//! 4. every feature equals `FeatureSpec::extract` over the server's own
+//!    stored records, so the running feature state rebuilt after each
+//!    recovery is exact.
 
+use sor_server::processor::DataProcessor;
 use sor_sim::scenario::{
     emma, run_coffee_field_test, run_coffee_field_test_durable, DurableRun, FieldTestConfig,
     FieldTestOutcome,
@@ -17,6 +21,28 @@ use sor_sim::scenario::{
 
 fn rank_order(out: &FieldTestOutcome) -> Vec<u64> {
     out.server.rank("coffee-shop", &emma()).unwrap().app_order
+}
+
+/// Every feature of every place is, bit for bit, what `extract` gives
+/// over that server's own records table (`None` exactly when it errs).
+/// The oracle is the run's own records, not the crash-free run's
+/// features: recovery re-plans, so a crashed run may store other
+/// readings.
+fn assert_features_match_own_records(out: &FieldTestOutcome, label: &str) {
+    let server = &out.server;
+    for app_id in server.applications().ids() {
+        let records = DataProcessor.records_of(server.database(), app_id).unwrap();
+        for spec in &server.applications().get(app_id).unwrap().features {
+            let want = spec.extract(&records).ok();
+            let got = server.feature_value(app_id, &spec.name).unwrap();
+            assert_eq!(
+                got.map(f64::to_bits),
+                want.map(f64::to_bits),
+                "{label}: app {app_id} feature {}: stored {got:?}, extract gives {want:?}",
+                spec.name
+            );
+        }
+    }
 }
 
 /// Crash instants for `k` crashes, evenly spaced strictly inside the
@@ -31,6 +57,7 @@ fn k_evenly_spaced_crashes_preserve_acked_data_and_ranking() {
     let baseline = run_coffee_field_test(cfg).unwrap();
     let base_order = rank_order(&baseline);
     assert_eq!(base_order.len(), 3);
+    assert_features_match_own_records(&baseline, "crash-free");
 
     for k in 1..=4usize {
         let crash_times = evenly_spaced(k, cfg.duration);
@@ -46,6 +73,7 @@ fn k_evenly_spaced_crashes_preserve_acked_data_and_ranking() {
         // Everything was acked before each crash (perfect transport,
         // group commit 1), so the recovered runs rank identically.
         assert_eq!(rank_order(&out), base_order, "k={k} crashes at {crash_times:?}");
+        assert_features_match_own_records(&out, &format!("k={k}"));
     }
 }
 
