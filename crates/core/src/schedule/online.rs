@@ -27,6 +27,18 @@
 //! [`OnlineScheduler::reference_plan`] computes that from-scratch plan;
 //! production never calls it, tests and the `sched_churn` bench compare
 //! against it.
+//!
+//! The executed prefix is kept in *instant order*:
+//! [`OnlineScheduler::advance_to`] appends the actions that became past
+//! sorted by instant (and a replan only plans instants at or after the
+//! clock). The prefix's order fixes the seed state's floats, and with
+//! this rule it depends only on which actions are past, never on how
+//! clock ticks batched them. The prefix at any later time is therefore
+//! the prefix at the last replan plus that replan's planned actions now
+//! past, in instant order. So the state saved at a replan (participants,
+//! executed prefix, planned list in selection order, clock) is all
+//! [`OnlineScheduler::restore`] needs to rebuild a scheduler that plans
+//! bit for bit like the one it was saved from.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -37,6 +49,7 @@ use crate::schedule::celf::{self, Entry, STALE};
 use crate::schedule::greedy::{greedy_seeded_stats, GreedyStats};
 use crate::schedule::{DecayCurve, Participant, Schedule, ScheduleProblem, UserId};
 use crate::time::{InstantId, TimeGrid};
+use crate::CoreError;
 
 /// A marginal gain persisted across replans, tagged with the executed
 /// seed length it was evaluated at. Valid upper bound forever (the seed
@@ -71,7 +84,8 @@ pub struct OnlineScheduler {
     grid: TimeGrid,
     model: Arc<dyn CoverageModel>,
     participants: Vec<Participant>,
-    /// Actions whose instant time is already in the past — immutable.
+    /// Actions whose instant time is already in the past — immutable,
+    /// in instant order.
     executed: Vec<SenseAction>,
     /// Planned future actions (re-derived on every change).
     planned: Vec<SenseAction>,
@@ -123,6 +137,47 @@ impl OnlineScheduler {
         }
     }
 
+    /// Rebuilds a scheduler from state saved at a replan: the
+    /// participants as it held them, the executed prefix, the planned
+    /// actions in selection order, and the clock. Gain bounds start
+    /// empty, so the next replan evaluates every candidate; bounds only
+    /// save work, so it plans exactly what the saved scheduler would
+    /// have. Empty state gives the same scheduler as
+    /// [`Self::from_arc`].
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::DimensionMismatch`] if an executed or planned action
+    /// names an instant at or past the grid's length.
+    pub fn restore(
+        grid: TimeGrid,
+        model: Arc<dyn CoverageModel>,
+        participants: Vec<Participant>,
+        executed: Vec<SenseAction>,
+        planned: Vec<SenseAction>,
+        now: f64,
+    ) -> Result<Self, CoreError> {
+        let n = grid.len();
+        if let Some(a) = executed.iter().chain(&planned).find(|a| a.instant >= n) {
+            return Err(CoreError::DimensionMismatch {
+                expected: n,
+                actual: a.instant.saturating_add(1),
+                what: "grid instants",
+            });
+        }
+        let mut s = Self::from_arc(grid, model);
+        for p in &participants {
+            for i in grid.instants_within(p.arrival, p.departure) {
+                s.users_at[i].push(p.user);
+            }
+        }
+        s.participants = participants;
+        s.executed = executed;
+        s.planned = planned;
+        s.now = now;
+        Ok(s)
+    }
+
     /// Applies a value-decay curve. Set this before the first arrival:
     /// persisted gain bounds are computed under the curve in force.
     #[must_use]
@@ -159,7 +214,7 @@ impl OnlineScheduler {
         Schedule::from_actions(all)
     }
 
-    /// Actions already executed (instant time ≤ now).
+    /// Actions already executed (instant time ≤ now), in instant order.
     pub fn executed(&self) -> &[SenseAction] {
         &self.executed
     }
@@ -189,8 +244,9 @@ impl OnlineScheduler {
     }
 
     /// Advances the clock to `t`, moving any planned actions whose
-    /// instant time has passed into the executed prefix. Does not
-    /// replan.
+    /// instant time has passed into the executed prefix, in instant
+    /// order. The prefix is then the same whether the clock got to `t`
+    /// in one step or in many (see the module doc). Does not replan.
     ///
     /// # Panics
     ///
@@ -199,8 +255,9 @@ impl OnlineScheduler {
         assert!(t >= self.now, "time went backwards: {} -> {t}", self.now);
         self.now = t;
         let grid = self.grid;
-        let (done, future): (Vec<_>, Vec<_>) =
+        let (mut done, future): (Vec<_>, Vec<_>) =
             self.planned.drain(..).partition(|a| grid.time_of(InstantId(a.instant)) <= t);
+        done.sort_by_key(|a| a.instant);
         self.executed.extend(done);
         self.planned = future;
     }

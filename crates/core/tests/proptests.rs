@@ -1,7 +1,9 @@
 //! Property-based tests for the SOR core algorithms.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
-use sor_core::coverage::{coverage_of_instants, CoverageState, GaussianCoverage};
+use sor_core::coverage::{coverage_of_instants, CoverageModel, CoverageState, GaussianCoverage};
 use sor_core::matroid::{verify_axioms, BudgetMatroid, SenseAction};
 use sor_core::ranking::{
     aggregate, footrule_distance, individual_rankings, kemeny_distance, weighted_footrule,
@@ -103,6 +105,28 @@ fn churn_trace() -> impl Strategy<Value = Vec<ChurnOp>> {
         (0.0f64..120.0).prop_map(|dt| ChurnOp::Advance { dt }),
     ];
     proptest::collection::vec(op, 1..10)
+}
+
+/// Applies one churn event to a scheduler on the 600 s test period,
+/// moving the shared clock `t`. Returns whether the event replanned.
+fn apply_churn(sched: &mut OnlineScheduler, op: &ChurnOp, t: &mut f64) -> bool {
+    match *op {
+        ChurnOp::Arrive { user, dt, stay, budget } => {
+            *t = (*t + dt).min(600.0);
+            sched.arrive(UserId(user), *t, (*t + stay).min(600.0), budget);
+            true
+        }
+        ChurnOp::Depart { user, dt } => {
+            *t = (*t + dt).min(600.0);
+            sched.depart(UserId(user), *t);
+            true
+        }
+        ChurnOp::Advance { dt } => {
+            *t = (*t + dt).min(600.0);
+            sched.advance_to(*t);
+            false
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -231,20 +255,8 @@ proptest! {
         let mut sched = OnlineScheduler::new(grid, GaussianCoverage::new(10.0)).with_decay(decay);
         let mut t = 0.0f64;
         for op in &trace {
-            match *op {
-                ChurnOp::Arrive { user, dt, stay, budget } => {
-                    t = (t + dt).min(600.0);
-                    sched.arrive(UserId(user), t, (t + stay).min(600.0), budget);
-                }
-                ChurnOp::Depart { user, dt } => {
-                    t = (t + dt).min(600.0);
-                    sched.depart(UserId(user), t);
-                }
-                ChurnOp::Advance { dt } => {
-                    t = (t + dt).min(600.0);
-                    sched.advance_to(t);
-                    continue;
-                }
+            if !apply_churn(&mut sched, op, &mut t) {
+                continue;
             }
             let (reference, _) = sched.reference_plan();
             prop_assert_eq!(
@@ -252,6 +264,77 @@ proptest! {
                 reference.assignments(),
                 "diverged after {:?} at t={}", op, t
             );
+        }
+    }
+
+    /// The executed prefix depends only on which actions are past, not
+    /// on how the clock got there: a scheduler that also takes every
+    /// bare advance of the trace, then reaches the period's end through
+    /// random intermediate steps, holds the same `executed()` as one
+    /// that only moves at arrivals and departures and then jumps to the
+    /// end in one step.
+    #[test]
+    fn executed_prefix_is_independent_of_clock_steps(
+        trace in churn_trace(),
+        cuts in proptest::collection::vec(0.0f64..600.0, 0..6),
+    ) {
+        let grid = TimeGrid::new(0.0, 600.0, 60).unwrap();
+        let mut jumps = OnlineScheduler::new(grid, GaussianCoverage::new(10.0));
+        let mut steps = OnlineScheduler::new(grid, GaussianCoverage::new(10.0));
+        let (mut t_jumps, mut t) = (0.0f64, 0.0f64);
+        for op in &trace {
+            if apply_churn(&mut steps, op, &mut t) {
+                apply_churn(&mut jumps, op, &mut t_jumps);
+                prop_assert_eq!(jumps.executed(), steps.executed(), "after {:?} at t={}", op, t);
+            } else {
+                t_jumps = t;
+            }
+        }
+        let mut cuts: Vec<f64> = cuts.into_iter().filter(|&c| c > t).collect();
+        cuts.sort_by(f64::total_cmp);
+        for c in cuts {
+            steps.advance_to(c);
+        }
+        steps.advance_to(600.0);
+        jumps.advance_to(600.0);
+        prop_assert_eq!(jumps.executed(), steps.executed());
+    }
+
+    /// A scheduler restored from the state saved at its last replan
+    /// before event `k` plans exactly like the live one through the rest
+    /// of the trace: after every arrival and departure both hold the same
+    /// executed prefix and plan, and the plan is the reference plan.
+    #[test]
+    fn restored_scheduler_plans_like_the_live_one(trace in churn_trace(), k in 0usize..10) {
+        let grid = TimeGrid::new(0.0, 600.0, 60).unwrap();
+        let model: Arc<dyn CoverageModel> = Arc::new(GaussianCoverage::new(10.0));
+        let mut live = OnlineScheduler::from_arc(grid, Arc::clone(&model));
+        let (head, tail) = trace.split_at(k.min(trace.len()));
+        let mut saved = (Vec::new(), Vec::new(), Vec::new(), grid.start());
+        let mut t = 0.0f64;
+        for op in head {
+            if apply_churn(&mut live, op, &mut t) {
+                saved = (
+                    live.participants().to_vec(),
+                    live.executed().to_vec(),
+                    live.planned().to_vec(),
+                    live.now(),
+                );
+            }
+        }
+        let (participants, executed, planned, now) = saved;
+        let mut restored =
+            OnlineScheduler::restore(grid, model, participants, executed, planned, now).unwrap();
+        let mut t_restored = t;
+        for op in tail {
+            apply_churn(&mut restored, op, &mut t_restored);
+            if !apply_churn(&mut live, op, &mut t) {
+                continue;
+            }
+            prop_assert_eq!(restored.executed(), live.executed(), "after {:?} at t={}", op, t);
+            prop_assert_eq!(restored.planned(), live.planned(), "after {:?} at t={}", op, t);
+            let (reference, _) = live.reference_plan();
+            prop_assert_eq!(live.planned(), reference.assignments());
         }
     }
 

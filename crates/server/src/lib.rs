@@ -9,8 +9,10 @@
 //! - [`participation::ParticipationManager`] — live sensing tasks:
 //!   location-verified admission, budgets, status transitions, and
 //!   departure detection.
-//! - the Sensing Scheduler — [`sor_core::schedule::online`] per
-//!   application, emitting schedule assignments over the wire.
+//! - the Sensing Scheduler (the `scheduling` stage) —
+//!   [`sor_core::schedule::online`] per application, emitting schedule
+//!   assignments over the wire. Each application's scheduler state is
+//!   saved at every replan and restored as is after a crash.
 //! - [`processor::DataProcessor`] — drains the binary inbox (uploads are
 //!   stored as opaque blobs exactly as the paper describes), decodes
 //!   them, and turns raw `(t, Δt, d)` records into *feature data*
@@ -33,6 +35,7 @@ pub mod feature;
 pub mod participation;
 pub mod processor;
 pub mod ranker;
+mod scheduling;
 pub mod server;
 pub mod user_info;
 pub mod viz;

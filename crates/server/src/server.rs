@@ -2,10 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use sor_core::coverage::{CompositeCoverage, GaussianCoverage};
-use sor_core::schedule::online::OnlineScheduler;
-use sor_core::schedule::{GreedyStats, UserId};
-use sor_core::time::TimeGrid;
+use sor_core::schedule::{Participant, UserId};
 use sor_core::UserPreferences;
 use sor_durable::{DurableDatabase, DurableOptions, RecoveryReport, Storage};
 use sor_obs::{Recorder, SpaceSaving, SpanId};
@@ -18,6 +15,7 @@ use crate::cache::RankCache;
 use crate::participation::{ParticipantStatus, ParticipationManager};
 use crate::processor::{DataProcessor, FeatureState};
 use crate::ranker::{rank_category, CategoryRanking};
+use crate::scheduling::Scheduling;
 use crate::user_info::UserInfoManager;
 use crate::ServerError;
 
@@ -41,8 +39,9 @@ pub struct SensingServer {
     processor: DataProcessor,
     /// The Data Processor's running per-(application, feature) state.
     feature_state: FeatureState,
-    /// One online scheduler per application.
-    schedulers: BTreeMap<u64, OnlineScheduler>,
+    /// The schedule stage: one online scheduler per application, each
+    /// saved to the database at every replan.
+    scheduling: Scheduling,
     /// Last time each device token was heard from (liveness, §II-A's
     /// Google-Cloud-Messaging fallback).
     last_contact: BTreeMap<u64, f64>,
@@ -104,9 +103,10 @@ impl SensingServer {
     /// latest checkpoint is restored, the write-ahead log replayed, and
     /// participation state rebuilt from the persisted tasks table. The
     /// caller re-registers applications (configuration, not data) with
-    /// [`SensingServer::register_application`], which re-arrives
-    /// recovered active tasks into fresh schedulers. `now` is the clock
-    /// to resume at (the crash instant in simulations).
+    /// [`SensingServer::register_application`], which restores each
+    /// application's scheduler from the state saved at its last replan,
+    /// without replanning. `now` is the clock to resume at (the crash
+    /// instant in simulations).
     ///
     /// # Errors
     ///
@@ -141,7 +141,7 @@ impl SensingServer {
             participation,
             processor: DataProcessor,
             feature_state: FeatureState::new(),
-            schedulers: BTreeMap::new(),
+            scheduling: Scheduling::new(),
             last_contact: BTreeMap::new(),
             now,
             recorder: Recorder::disabled(),
@@ -181,6 +181,7 @@ impl SensingServer {
                 .column("status", ColumnType::Int),
         )?;
         db.create_index(TASKS_TABLE, "task_id")?;
+        Scheduling::install(db)?;
         Ok(())
     }
 
@@ -258,48 +259,18 @@ impl SensingServer {
         &self.participation
     }
 
-    /// Registers an application and creates its scheduler. One schedule
-    /// serves every feature of the application, so the coverage kernel
-    /// is the equal-weight composite of the per-feature Gaussian σ
-    /// kernels (§III: "different variance σ can be used to model
-    /// different sensing features").
+    /// Registers an application and builds its scheduler. An
+    /// application that already has saved scheduler state (a recovered
+    /// server, or a live re-registration) gets it back exactly, with no
+    /// replan, so it keeps planning as if nothing had happened.
     ///
     /// # Errors
     ///
-    /// Core errors for a degenerate grid configuration.
+    /// Core errors for a degenerate grid configuration, or for saved
+    /// state whose grid differs from the spec's or that names an instant
+    /// outside it; decode errors for saved state that does not decode.
     pub fn register_application(&mut self, spec: ApplicationSpec) -> Result<(), ServerError> {
-        let grid = TimeGrid::new(0.0, spec.period_seconds, spec.instants)?;
-        let sigmas: Vec<f64> =
-            spec.features.iter().map(|f| f.sigma.max(1e-6)).filter(|s| s.is_finite()).collect();
-        let mut scheduler = if sigmas.is_empty() {
-            OnlineScheduler::new(grid, GaussianCoverage::new(10.0))
-        } else {
-            OnlineScheduler::new(grid, CompositeCoverage::of_sigmas(&sigmas))
-        };
-        // Crash recovery: participants admitted before a crash are
-        // still active in the recovered tasks table; re-arrive them so
-        // the fresh scheduler plans for them (phones kept their
-        // distributed schedules across the outage either way).
-        let recovered: Vec<(u64, u32, f64, f64)> = self
-            .participation
-            .active_for(spec.app_id)
-            .iter()
-            .filter(|t| t.departure > t.arrival)
-            .map(|t| (t.token, t.budget, t.arrival, t.departure))
-            .collect();
-        for (token, budget, arrival, departure) in recovered {
-            if let Ok(Some(user)) = self.users.by_token(self.db.db(), token) {
-                let clamped = departure.min(scheduler.grid().end());
-                let work = scheduler.arrive(
-                    UserId(user.user_id as usize),
-                    arrival,
-                    clamped,
-                    budget as usize,
-                );
-                record_replan(&self.recorder, work);
-            }
-        }
-        self.schedulers.insert(spec.app_id, scheduler);
+        self.scheduling.register(self.db.db(), &spec)?;
         // The feature list may have changed; the next pass rebuilds the
         // running state from the stored records.
         self.feature_state.forget(spec.app_id);
@@ -319,17 +290,13 @@ impl SensingServer {
             let task = self.participation.task(task_id).expect("just swept");
             let (app_id, token) = (task.app_id, task.token);
             if let Ok(Some(user)) = self.users.by_token(self.db.db(), token) {
-                if let Some(sched) = self.schedulers.get_mut(&app_id) {
-                    let work = sched.depart(UserId(user.user_id as usize), now);
-                    record_replan(&self.recorder, work);
-                }
+                let user = UserId(user.user_id as usize);
+                self.scheduling
+                    .depart(self.db.db_mut(), &self.recorder, app_id, user, now)
+                    .expect("sched_state table installed");
             }
         }
-        for sched in self.schedulers.values_mut() {
-            if now > sched.now() {
-                sched.advance_to(now);
-            }
-        }
+        self.scheduling.advance_to(now);
     }
 
     /// Pipeline bookkeeping for one accepted upload: the coverage
@@ -498,10 +465,8 @@ impl SensingServer {
                 let now = self.now;
                 self.persist_task(*task_id)?;
                 if let Ok(Some(user)) = self.users.by_token(self.db.db(), token) {
-                    if let Some(sched) = self.schedulers.get_mut(&app_id) {
-                        let work = sched.depart(UserId(user.user_id as usize), now);
-                        record_replan(&self.recorder, work);
-                    }
+                    let user = UserId(user.user_id as usize);
+                    self.scheduling.depart(self.db.db_mut(), &self.recorder, app_id, user, now)?;
                 }
                 Ok(Vec::new())
             }
@@ -554,15 +519,9 @@ impl SensingServer {
         let departure = task.departure;
         let task_id = task.task_id;
         self.persist_task(task_id)?;
-        let sched = self.schedulers.get_mut(&app_id).expect("registered with app");
-        let clamped_departure = departure.min(sched.grid().end());
-        let work = sched.arrive(
-            UserId(user.user_id as usize),
-            self.now,
-            clamped_departure,
-            budget as usize,
-        );
-        record_replan(&self.recorder, work);
+        let participant =
+            Participant::new(UserId(user.user_id as usize), self.now, departure, budget as usize);
+        self.scheduling.arrive(self.db.db_mut(), &self.recorder, app_id, participant)?;
         // Distribute updated schedules to every active participant of
         // this application (§II-B: "will also distribute the calculated
         // schedules along with the corresponding Lua scripts").
@@ -597,7 +556,8 @@ impl SensingServer {
         parent: SpanId,
     ) -> Result<Vec<(u64, Message, Option<TraceContext>)>, ServerError> {
         let app = self.apps.get(app_id).ok_or(ServerError::UnknownApplication(app_id))?.clone();
-        let sched = self.schedulers.get(&app_id).expect("registered with app");
+        let sched =
+            self.scheduling.scheduler(app_id).ok_or(ServerError::UnknownApplication(app_id))?;
         let plan = sched.current_schedule();
         let grid = *sched.grid();
         let mut out = Vec::new();
@@ -918,26 +878,6 @@ impl SensingServer {
     pub fn feature_value(&self, app_id: u64, feature: &str) -> Result<Option<f64>, ServerError> {
         self.processor.feature_value(self.db.db(), app_id, feature)
     }
-}
-
-/// Exports one replan's solver work: selection rounds, marginal-gain
-/// evaluations and CELF heap traffic as counters, one
-/// `sched.replans_run`, and one `sched.replan_gain_evaluations`
-/// observation (zero included). Work counts, not wall time: the
-/// deterministic cost measure of the scheduler.
-fn record_replan(recorder: &Recorder, work: GreedyStats) {
-    for (name, n) in [
-        ("sched.iterations_run", work.iterations),
-        ("sched.gain_evaluations", work.gain_evaluations),
-        ("sched.heap_pops", work.heap_pops),
-        ("sched.bounds_reinserted", work.bound_reinserts),
-    ] {
-        if n > 0 {
-            recorder.count(name, n);
-        }
-    }
-    recorder.count("sched.replans_run", work.replans);
-    recorder.observe("sched.replan_gain_evaluations", work.gain_evaluations as f64);
 }
 
 /// Stable label for per-message-type counters and span attributes.

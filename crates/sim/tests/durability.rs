@@ -7,8 +7,10 @@
 //! 1. recovery never panics or errors — the run completes;
 //! 2. every acked upload survives (with the default group-commit of 1
 //!    the WAL is flushed before the ack leaves the server);
-//! 3. when all data was acked, the final ranking is identical to the
-//!    crash-free run's ranking;
+//! 3. when all data was acked, the final ranking, every task's stored
+//!    schedule and every feature are identical to the crash-free run's:
+//!    recovery restores each scheduler exactly, so the phones are sent
+//!    the same plans and take the same readings;
 //! 4. every feature equals `FeatureSpec::extract` over the server's own
 //!    stored records, so the running feature state rebuilt after each
 //!    recovery is exact.
@@ -25,9 +27,8 @@ fn rank_order(out: &FieldTestOutcome) -> Vec<u64> {
 
 /// Every feature of every place is, bit for bit, what `extract` gives
 /// over that server's own records table (`None` exactly when it errs).
-/// The oracle is the run's own records, not the crash-free run's
-/// features: recovery re-plans, so a crashed run may store other
-/// readings.
+/// This checks the running feature state rebuilt at recovery on its
+/// own terms; the comparison with the crash-free run is separate.
 fn assert_features_match_own_records(out: &FieldTestOutcome, label: &str) {
     let server = &out.server;
     for app_id in server.applications().ids() {
@@ -45,6 +46,24 @@ fn assert_features_match_own_records(out: &FieldTestOutcome, label: &str) {
     }
 }
 
+/// Every task's stored schedule and every feature of every place, as
+/// bits, for comparing whole runs.
+fn schedules_and_features(out: &FieldTestOutcome) -> (Vec<Vec<u64>>, Vec<Option<u64>>) {
+    let server = &out.server;
+    let schedules = server
+        .participation()
+        .all()
+        .map(|t| server.stored_schedule(t.task_id).unwrap().into_iter().map(f64::to_bits).collect())
+        .collect();
+    let mut features = Vec::new();
+    for app_id in server.applications().ids() {
+        for spec in &server.applications().get(app_id).unwrap().features {
+            features.push(server.feature_value(app_id, &spec.name).unwrap().map(f64::to_bits));
+        }
+    }
+    (schedules, features)
+}
+
 /// Crash instants for `k` crashes, evenly spaced strictly inside the
 /// window (never at 0 or at the horizon).
 fn evenly_spaced(k: usize, duration: f64) -> Vec<f64> {
@@ -57,6 +76,8 @@ fn k_evenly_spaced_crashes_preserve_acked_data_and_ranking() {
     let baseline = run_coffee_field_test(cfg).unwrap();
     let base_order = rank_order(&baseline);
     assert_eq!(base_order.len(), 3);
+    let (base_schedules, base_features) = schedules_and_features(&baseline);
+    assert!(base_schedules.iter().any(|s| !s.is_empty()));
     assert_features_match_own_records(&baseline, "crash-free");
 
     for k in 1..=4usize {
@@ -71,8 +92,12 @@ fn k_evenly_spaced_crashes_preserve_acked_data_and_ranking() {
         }
         assert!(out.stats.uploads_accepted > 0, "k={k}: {:?}", out.stats);
         // Everything was acked before each crash (perfect transport,
-        // group commit 1), so the recovered runs rank identically.
+        // group commit 1), so the recovered runs distribute the same
+        // schedules, compute the same features and rank identically.
         assert_eq!(rank_order(&out), base_order, "k={k} crashes at {crash_times:?}");
+        let (schedules, features) = schedules_and_features(&out);
+        assert_eq!(schedules, base_schedules, "k={k}: stored schedules differ");
+        assert_eq!(features, base_features, "k={k}: features differ");
         assert_features_match_own_records(&out, &format!("k={k}"));
     }
 }
