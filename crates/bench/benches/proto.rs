@@ -1,10 +1,12 @@
 //! Wire-protocol throughput: encode/decode of the message shapes that
 //! dominate SOR traffic, supporting the paper's "minimize traffic load"
-//! claim with byte counts in the bench names.
+//! claim with byte counts in the bench names, and the CRC-32 that
+//! frames every message, WAL record and checkpoint.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use sor_proto::checksum::crc32;
 use sor_proto::{Message, SensedRecord};
 
 fn upload(records: usize, values: usize) -> Message {
@@ -61,12 +63,22 @@ fn bench_small_control_messages(c: &mut Criterion) {
     });
 }
 
+fn bench_crc32(c: &mut Criterion) {
+    let mut g = c.benchmark_group("proto/crc32");
+    // About one trail upload frame, and about one trail checkpoint.
+    for len in [1_400usize, 4 << 20] {
+        let data: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+        g.bench_function(format!("{len}B"), |b| b.iter(|| black_box(crc32(black_box(&data)))));
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(30);
-    targets = bench_encode, bench_decode, bench_small_control_messages
+    targets = bench_encode, bench_decode, bench_small_control_messages, bench_crc32
 }
 criterion_main!(benches);

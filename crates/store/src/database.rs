@@ -223,11 +223,10 @@ impl Database {
                 w.put_str(col);
             }
             w.put_uvar(table.next_row_id());
-            let rows: Vec<Row> = table.iter().collect();
-            w.put_uvar(rows.len() as u64);
-            for row in rows {
-                w.put_uvar(row.id.0);
-                for v in &row.values {
+            w.put_uvar(table.len() as u64);
+            for (id, values) in table.iter() {
+                w.put_uvar(id.0);
+                for v in values {
                     v.encode_into(&mut w);
                 }
             }
@@ -274,6 +273,14 @@ impl Database {
         for _ in 0..n_tables {
             let name = r.get_str().map_err(|e| corrupt(&e.to_string()))?.to_string();
             let n_cols = r.get_uvar().map_err(|e| corrupt(&e.to_string()))? as usize;
+            // Guard against hostile counts before allocating: every
+            // column definition costs at least one byte.
+            if n_cols > r.remaining() {
+                return Err(corrupt(&format!(
+                    "table {name} declares {n_cols} columns with {} bytes left",
+                    r.remaining()
+                )));
+            }
             let mut schema = Schema::new(&name);
             let mut col_defs: Vec<Column> = Vec::with_capacity(n_cols);
             for _ in 0..n_cols {
@@ -446,6 +453,83 @@ mod tests {
                 "flip at {offset} must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn huge_column_count_is_rejected_not_allocated() {
+        // CRC-valid, so only the count guard stands between the declared
+        // 2^40 columns and the allocator.
+        let mut w = Writer::new();
+        w.put_raw(b"SORD");
+        w.put_u8(SNAPSHOT_VERSION);
+        w.put_uvar(1);
+        w.put_str("t");
+        w.put_uvar(1 << 40);
+        let crc = crc32(w.as_slice());
+        w.put_u32(crc);
+        assert!(matches!(Database::restore(w.as_slice()), Err(StoreError::CorruptSnapshot(_))));
+    }
+
+    /// Every `Value` variant, an index, and a deleted row, so the id
+    /// counter runs ahead of the row count.
+    fn golden_db() -> Database {
+        let mut db = Database::new();
+        db.create_table(
+            Schema::new("readings")
+                .column("id", ColumnType::Int)
+                .column("sensor", ColumnType::Text)
+                .column("value", ColumnType::Float)
+                .column("body", ColumnType::Bytes)
+                .column("valid", ColumnType::Bool)
+                .nullable_column("note", ColumnType::Text),
+        )
+        .unwrap();
+        db.create_table(Schema::new("apps").column("app_id", ColumnType::Int)).unwrap();
+        db.create_index("readings", "sensor").unwrap();
+        let rows = [
+            (-7, "gps", 47.25, vec![0, 1, 0xfe, 0xff], true, Value::Null),
+            (300, "accel", -0.5, vec![], false, Value::text("gone")),
+            (1 << 40, "gps", 1e-9, vec![7; 3], false, Value::text("kept")),
+        ];
+        for (id, sensor, value, body, valid, note) in rows {
+            let values = vec![
+                Value::Int(id),
+                Value::text(sensor),
+                Value::Float(value),
+                Value::Bytes(body),
+                Value::Bool(valid),
+                note,
+            ];
+            db.insert("readings", values).unwrap();
+        }
+        db.delete_where("readings", &Predicate::eq("id", Value::Int(300))).unwrap();
+        db
+    }
+
+    /// `golden_db()`'s snapshot as checked in. Checkpoints already on
+    /// disk hold these bytes, so the encoder must keep writing them and
+    /// restore must keep reading them.
+    const GOLDEN_SNAPSHOT: &[u8] = &[
+        0x53, 0x4f, 0x52, 0x44, 0x02, 0x02, 0x04, 0x61, 0x70, 0x70, 0x73, 0x01, 0x06, 0x61, 0x70,
+        0x70, 0x5f, 0x69, 0x64, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x72, 0x65, 0x61, 0x64, 0x69,
+        0x6e, 0x67, 0x73, 0x06, 0x02, 0x69, 0x64, 0x00, 0x00, 0x06, 0x73, 0x65, 0x6e, 0x73, 0x6f,
+        0x72, 0x02, 0x00, 0x05, 0x76, 0x61, 0x6c, 0x75, 0x65, 0x01, 0x00, 0x04, 0x62, 0x6f, 0x64,
+        0x79, 0x03, 0x00, 0x05, 0x76, 0x61, 0x6c, 0x69, 0x64, 0x04, 0x00, 0x04, 0x6e, 0x6f, 0x74,
+        0x65, 0x02, 0x01, 0x01, 0x06, 0x73, 0x65, 0x6e, 0x73, 0x6f, 0x72, 0x03, 0x02, 0x00, 0x01,
+        0x0d, 0x03, 0x03, 0x67, 0x70, 0x73, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0xa0, 0x47, 0x40,
+        0x04, 0x04, 0x00, 0x01, 0xfe, 0xff, 0x05, 0x01, 0x00, 0x02, 0x01, 0x80, 0x80, 0x80, 0x80,
+        0x80, 0x40, 0x03, 0x03, 0x67, 0x70, 0x73, 0x02, 0x95, 0xd6, 0x26, 0xe8, 0x0b, 0x2e, 0x11,
+        0x3e, 0x04, 0x03, 0x07, 0x07, 0x07, 0x05, 0x00, 0x03, 0x04, 0x6b, 0x65, 0x70, 0x74, 0xd5,
+        0x34, 0x94, 0x1e,
+    ];
+
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let db = golden_db();
+        assert_eq!(db.table("readings").unwrap().next_row_id(), 3);
+        assert_eq!(db.snapshot(), GOLDEN_SNAPSHOT);
+        let back = Database::restore(GOLDEN_SNAPSHOT).unwrap();
+        assert_eq!(back.snapshot(), GOLDEN_SNAPSHOT);
     }
 
     #[test]

@@ -287,9 +287,9 @@ impl Table {
         Ok(hits.len())
     }
 
-    /// Iterates over all rows in id order.
-    pub fn iter(&self) -> impl Iterator<Item = Row> + '_ {
-        self.rows.iter().map(|(&id, values)| Row { id, values: values.clone() })
+    /// Iterates over all rows in id order, borrowing their values.
+    pub fn iter(&self) -> impl Iterator<Item = (RowId, &[Value])> + '_ {
+        self.rows.iter().map(|(&id, values)| (id, values.as_slice()))
     }
 }
 
@@ -318,7 +318,7 @@ mod tests {
     fn insert_assigns_monotonic_ids() {
         let mut t = table();
         fill(&mut t);
-        let ids: Vec<RowId> = t.iter().map(|r| r.id).collect();
+        let ids: Vec<RowId> = t.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![RowId(0), RowId(1), RowId(2)]);
         assert_eq!(t.len(), 3);
     }

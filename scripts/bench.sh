@@ -35,7 +35,7 @@ fi
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
-for bench in pipeline rank_scale script_analysis script_exec obs_scale sched_churn; do
+for bench in pipeline rank_scale script_analysis script_exec obs_scale sched_churn proto store; do
     echo "==> cargo bench --offline -p sor-bench --bench $bench" >&2
     cargo bench --offline -p sor-bench --bench "$bench" | tee -a "$raw" >&2
 done
