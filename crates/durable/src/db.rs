@@ -136,20 +136,10 @@ impl DurableDatabase {
                     let mut r = Reader::new(payload);
                     let epoch = r.get_uvar().map_err(|e| corrupt(e.to_string()))?;
                     let snapshot = r.get_bytes().map_err(|e| corrupt(e.to_string()))?;
-                    let db = Database::restore(snapshot).map_err(|e| corrupt(e.to_string()))?;
-                    // Optional trailing field (absent in checkpoints
-                    // written before flight recording existed): the
-                    // flight recorder's ring, restored so a post-crash
-                    // post-mortem still shows pre-checkpoint activity.
                     if r.remaining() != 0 {
-                        let flight = r.get_bytes().map_err(|e| corrupt(e.to_string()))?;
-                        if r.remaining() != 0 {
-                            return Err(corrupt("trailing bytes after flight ring".to_string()));
-                        }
-                        if let Some(restored) = sor_obs::FlightRecorder::from_bytes(flight) {
-                            recorder.flight_restore(restored);
-                        }
+                        return Err(corrupt("trailing bytes after snapshot".to_string()));
                     }
+                    let db = Database::restore(snapshot).map_err(|e| corrupt(e.to_string()))?;
                     (db, epoch, true, bytes.len())
                 }
                 None => (Database::new(), 0, false, 0),
@@ -298,11 +288,6 @@ impl DurableDatabase {
         let mut w = Writer::new();
         w.put_uvar(new_epoch);
         w.put_bytes(&snapshot);
-        // Checkpoints from flight-recording deployments carry the ring
-        // as a trailing field; plain deployments keep the legacy layout.
-        if let Some(flight) = self.recorder.flight_bytes() {
-            w.put_bytes(&flight);
-        }
         storage.write_atomic(CHECKPOINT_FILE, &encode_frame(w.as_slice()))?;
         storage.remove(&wal_file(self.epoch))?;
         self.epoch = new_epoch;
@@ -493,38 +478,7 @@ mod tests {
     }
 
     #[test]
-    fn flight_ring_rides_the_checkpoint_and_survives_recovery() {
-        let disk = SimDisk::new(37);
-        let rec = Recorder::enabled().with_flight(8);
-        let (mut ddb, _) = DurableDatabase::open(
-            Box::new(disk.clone()),
-            DurableOptions::default(),
-            rec.clone(),
-            0.0,
-        )
-        .unwrap();
-        seed_rows(&mut ddb, 3);
-        rec.span_start("server.handle_message", 1.0);
-        ddb.checkpoint().unwrap();
-        drop(ddb);
-        disk.crash();
-        // A fresh recorder with an empty ring: recovery refills it from
-        // the checkpoint's trailing field.
-        let rec2 = Recorder::enabled().with_flight(8);
-        let (_, report) = DurableDatabase::open(
-            Box::new(disk.clone()),
-            DurableOptions::default(),
-            rec2.clone(),
-            2.0,
-        )
-        .unwrap();
-        assert!(report.had_checkpoint);
-        let dump = rec2.flight_render().unwrap();
-        assert!(dump.contains("server.handle_message"), "restored ring lost the span:\n{dump}");
-    }
-
-    #[test]
-    fn flightless_checkpoint_keeps_the_legacy_layout() {
+    fn checkpoint_is_the_epoch_and_snapshot_only() {
         let disk = SimDisk::new(41);
         let (mut ddb, _) = open_sim(&disk, DurableOptions::default());
         seed_rows(&mut ddb, 2);
@@ -534,6 +488,27 @@ mod tests {
         let (ddb, report) = open_sim(&disk, DurableOptions::default());
         assert!(report.had_checkpoint);
         assert_eq!(count(&ddb), 2);
+        drop(ddb);
+        // Re-frame the checkpoint with one more length-prefixed field
+        // after the snapshot, CRC and all: recovery must refuse it.
+        let mut storage = disk.clone();
+        let framed = storage.read(CHECKPOINT_FILE).unwrap().unwrap();
+        let (payload, _) = decode_frame(&framed).unwrap();
+        let mut w = Writer::new();
+        w.put_raw(payload);
+        w.put_bytes(b"extra field");
+        storage.write_atomic(CHECKPOINT_FILE, &encode_frame(w.as_slice())).unwrap();
+        match DurableDatabase::open(
+            Box::new(disk.clone()),
+            DurableOptions::default(),
+            Recorder::default(),
+            0.0,
+        ) {
+            Err(DurableError::CorruptCheckpoint(detail)) => {
+                assert!(detail.contains("trailing bytes"), "{detail}")
+            }
+            other => panic!("expected CorruptCheckpoint, got {:?}", other.map(|(_, r)| r)),
+        }
     }
 
     #[test]

@@ -235,6 +235,7 @@ impl ArchiveStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytes::put_f64;
     use crate::health::{SloGrade, SloStatus};
 
     fn sample_archive() -> RunArchive {
@@ -335,6 +336,41 @@ mod tests {
         let mut bytes = sample_archive().to_bytes();
         bytes.push(0);
         assert!(RunArchive::from_bytes(&bytes).is_none(), "trailing byte accepted");
+    }
+
+    /// Meta, an empty trace and empty metrics: the archive up to its
+    /// optional sections, for hand-built hostile ones.
+    fn prefix() -> Vec<u8> {
+        let mut out = Vec::new();
+        sample_archive().meta.write_into(&mut out);
+        Trace::new().write_into(&mut out);
+        MetricsRegistry::new().write_into(&mut out);
+        out
+    }
+
+    #[test]
+    fn hostile_topk_slot_count_is_rejected_not_allocated() {
+        let mut bytes = prefix();
+        put_u8(&mut bytes, 0); // no window ring
+        put_u32(&mut bytes, 1); // one sketch, k = 2^32 - 1,
+        put_str(&mut bytes, "hot places");
+        put_u32(&mut bytes, u32::MAX);
+        put_u64(&mut bytes, 0);
+        put_u32(&mut bytes, u32::MAX); // declaring 2^32 - 1 slots, holding none
+        assert!(RunArchive::from_bytes(&bytes).is_none());
+    }
+
+    #[test]
+    fn hostile_window_count_is_rejected_not_allocated() {
+        let mut bytes = prefix();
+        put_u8(&mut bytes, 1); // a window ring of capacity 2^32 - 1,
+        put_u32(&mut bytes, u32::MAX);
+        put_u64(&mut bytes, 0);
+        put_u64(&mut bytes, 0);
+        put_f64(&mut bytes, 0.0);
+        MetricsRegistry::new().write_into(&mut bytes);
+        put_u32(&mut bytes, u32::MAX); // declaring 2^32 - 1 windows, holding none
+        assert!(RunArchive::from_bytes(&bytes).is_none());
     }
 
     #[test]

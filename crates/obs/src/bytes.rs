@@ -1,5 +1,5 @@
 //! Shared little-endian byte-codec helpers for the crate's durable
-//! serializations (flight recorder, run archives).
+//! serializations (run archives and their sections).
 //!
 //! Every `sor-obs` byte format follows the same conventions, extracted
 //! here so each module's `to_bytes`/`from_bytes` pair stays a direct

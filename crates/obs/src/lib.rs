@@ -13,7 +13,8 @@
 //! Three pieces:
 //!
 //! - [`trace`] — a span/event tracer with parent inference from the
-//!   open-span stack, an ASCII tree/timeline renderer, and JSON export.
+//!   open-span stack, an ASCII tree/timeline renderer, the crash
+//!   post-mortem, and JSON export.
 //! - [`metrics`] — a registry of counters, gauges, and log-bucketed
 //!   [`Histogram`]s (mergeable; merge commutes and preserves counts).
 //! - [`Recorder`] — the cheap, cloneable handle injected through the
@@ -54,7 +55,6 @@ pub mod archive;
 mod bytes;
 pub mod dashboard;
 pub mod diff;
-pub mod flight;
 pub mod health;
 pub mod json;
 pub mod lint;
@@ -69,7 +69,6 @@ pub mod window;
 
 pub use archive::{ArchiveStats, RunArchive, RunMeta, ARCHIVE_SCHEMA_VERSION};
 pub use diff::{DiffConfig, DiffFinding, DiffReport};
-pub use flight::{FlightEntry, FlightKind, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use health::{Alert, HealthEngine, HealthReport, SloGrade, SloKind, SloSpec, SloStatus};
 pub use json::{parse as parse_json, Json, JsonError};
 pub use metrics::{Histogram, MetricsRegistry, DEFAULT_NAME_CAP, OVERFLOW_NAME};
@@ -94,9 +93,6 @@ struct Collector {
 #[derive(Clone, Default)]
 pub struct Recorder {
     inner: Option<Arc<Mutex<Collector>>>,
-    /// The flight recorder rides independently of the full trace: it
-    /// can stay on (bounded, allocation-reusing) when tracing is off.
-    flight: Option<Arc<Mutex<FlightRecorder>>>,
 }
 
 impl std::fmt::Debug for Recorder {
@@ -113,40 +109,17 @@ impl Recorder {
                 trace: Trace::new(),
                 metrics: MetricsRegistry::new(),
             }))),
-            flight: None,
         }
     }
 
     /// The no-op sink (the default everywhere a recorder is optional).
     pub fn disabled() -> Self {
-        Recorder { inner: None, flight: None }
+        Recorder { inner: None }
     }
 
-    /// A handle recording *only* into a bounded per-component flight
-    /// ring: no trace, no metrics, just the last `capacity` spans and
-    /// events per component. This is the leave-it-on mode for untraced
-    /// runs — the `obs_overhead` bench guards its cost.
-    pub fn flight_only(capacity: usize) -> Self {
-        Recorder { inner: None, flight: Some(Arc::new(Mutex::new(FlightRecorder::new(capacity)))) }
-    }
-
-    /// Returns this handle with a flight recorder of the given
-    /// per-component capacity attached (shared by all later clones).
-    pub fn with_flight(mut self, capacity: usize) -> Self {
-        self.flight = Some(Arc::new(Mutex::new(FlightRecorder::new(capacity))));
-        self
-    }
-
-    /// Whether this handle records a full trace + metrics. (A
-    /// flight-only handle reports `false` here; see
-    /// [`Recorder::has_flight`].)
+    /// Whether this handle records a trace and metrics.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Whether a flight recorder is attached.
-    pub fn has_flight(&self) -> bool {
-        self.flight.is_some()
     }
 
     /// Adds `n` to a counter.
@@ -186,9 +159,6 @@ impl Recorder {
     /// when disabled (ending it is then a no-op too).
     #[inline]
     pub fn span_start(&self, name: &str, at: f64) -> SpanId {
-        if let Some(flight) = &self.flight {
-            flight.lock().record_span(name, at);
-        }
         match &self.inner {
             Some(inner) => inner.lock().trace.start(name, at),
             None => SpanId::NONE,
@@ -202,9 +172,6 @@ impl Recorder {
     /// interleaving. Pass [`SpanId::NONE`] for a detached root.
     #[inline]
     pub fn span_start_with_parent(&self, name: &str, at: f64, parent: SpanId) -> SpanId {
-        if let Some(flight) = &self.flight {
-            flight.lock().record_span(name, at);
-        }
         match &self.inner {
             Some(inner) => inner.lock().trace.start_with_parent(name, at, parent),
             None => SpanId::NONE,
@@ -239,9 +206,6 @@ impl Recorder {
     /// Records a point event at simulated time `at`.
     #[inline]
     pub fn event(&self, name: &str, at: f64, detail: &str) {
-        if let Some(flight) = &self.flight {
-            flight.lock().record_event(name, at, detail);
-        }
         if let Some(inner) = &self.inner {
             inner.lock().trace.event(name, at, detail);
         }
@@ -250,15 +214,8 @@ impl Recorder {
     /// Records a point event, building the detail lazily.
     #[inline]
     pub fn event_with(&self, name: &str, at: f64, detail: impl FnOnce() -> String) {
-        if self.flight.is_none() && self.inner.is_none() {
-            return;
-        }
-        let detail = detail();
-        if let Some(flight) = &self.flight {
-            flight.lock().record_event(name, at, &detail);
-        }
         if let Some(inner) = &self.inner {
-            inner.lock().trace.event(name, at, &detail);
+            inner.lock().trace.event(name, at, &detail());
         }
     }
 
@@ -297,6 +254,12 @@ impl Recorder {
         self.inner.as_ref().map(|i| i.lock().trace.render_tree())
     }
 
+    /// The crash post-mortem rendered from the trace (see
+    /// [`Trace::render_postmortem`]).
+    pub fn trace_postmortem(&self, per_component: usize) -> Option<String> {
+        self.inner.as_ref().map(|i| i.lock().trace.render_postmortem(per_component))
+    }
+
     /// The ASCII timeline (capped rows).
     pub fn trace_timeline(&self, width: usize, max_rows: usize) -> Option<String> {
         self.inner.as_ref().map(|i| i.lock().trace.render_timeline(width, max_rows))
@@ -308,40 +271,6 @@ impl Recorder {
             let c = i.lock();
             report::render_report(&c.trace, &c.metrics)
         })
-    }
-
-    /// The per-run summary report with a `-- health --` section graded
-    /// by the given engine (alerts re-evaluated against the current
-    /// metrics). `None` when tracing is disabled.
-    pub fn report_with_health(&self, engine: &HealthEngine) -> Option<String> {
-        self.inner.as_ref().map(|i| {
-            let c = i.lock();
-            report::render_report_with_health(&c.trace, &c.metrics, engine)
-        })
-    }
-
-    /// A clone of the attached flight recorder (None when absent).
-    pub fn flight_snapshot(&self) -> Option<FlightRecorder> {
-        self.flight.as_ref().map(|f| f.lock().clone())
-    }
-
-    /// The flight recorder's deterministic post-mortem rendering.
-    pub fn flight_render(&self) -> Option<String> {
-        self.flight.as_ref().map(|f| f.lock().render())
-    }
-
-    /// The flight recorder serialized for the durable checkpoint
-    /// stream (None when absent).
-    pub fn flight_bytes(&self) -> Option<Vec<u8>> {
-        self.flight.as_ref().map(|f| f.lock().to_bytes())
-    }
-
-    /// Replaces the attached flight recorder's contents with a restored
-    /// snapshot (no-op when no flight recorder is attached).
-    pub fn flight_restore(&self, restored: FlightRecorder) {
-        if let Some(f) = &self.flight {
-            *f.lock() = restored;
-        }
     }
 }
 

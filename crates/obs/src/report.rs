@@ -2,7 +2,6 @@
 //! metrics registry and the trace, in the `sor-server::viz` ASCII
 //! style. Deterministic for a deterministic run.
 
-use crate::health::HealthEngine;
 use crate::metrics::MetricsRegistry;
 use crate::trace::Trace;
 
@@ -67,30 +66,6 @@ pub fn render_report(trace: &Trace, metrics: &MetricsRegistry) -> String {
         }
         if trace.events().len() > 16 {
             out.push_str(&format!("  … {} more events\n", trace.events().len() - 16));
-        }
-    }
-    out
-}
-
-/// [`render_report`] plus a `-- health --` section: the engine's
-/// catalog graded against the final registry, followed by any alerts
-/// it fired online during the run.
-pub fn render_report_with_health(
-    trace: &Trace,
-    metrics: &MetricsRegistry,
-    engine: &HealthEngine,
-) -> String {
-    let mut out = render_report(trace, metrics);
-    let report = engine.grade(metrics);
-    out.push_str("-- health --\n");
-    out.push_str(&report.render());
-    let alerts = engine.alerts();
-    if alerts.is_empty() {
-        out.push_str("  alerts: none\n");
-    } else {
-        out.push_str(&format!("  alerts: {}\n", alerts.len()));
-        for a in alerts {
-            out.push_str(&format!("  [{:.3}] ALERT {}\n", a.time, a.detail));
         }
     }
     out

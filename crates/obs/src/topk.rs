@@ -150,7 +150,7 @@ impl SpaceSaving {
         if k == 0 || n > k {
             return None;
         }
-        let mut slots = Vec::with_capacity(n);
+        let mut slots = Vec::with_capacity(n.min(64));
         for _ in 0..n {
             let key = get_str(bytes, pos)?;
             let count = get_u64(bytes, pos)?;

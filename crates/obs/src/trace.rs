@@ -6,6 +6,8 @@
 //! must render byte-identical traces (the golden-trace test in
 //! `sor-sim` holds this crate to that).
 
+use std::collections::BTreeMap;
+
 use crate::bytes::{
     get_f64, get_opt_f64, get_str, get_u32, get_u64, put_f64, put_opt_f64, put_str, put_u32,
     put_u64,
@@ -224,6 +226,42 @@ impl Trace {
         out
     }
 
+    /// Renders a crash post-mortem: for each component (the leading
+    /// dotted segment of the name, `server.rank` → `server`; names
+    /// without one land in `other`), in name order, the last
+    /// `per_component` span starts and events by simulated time, oldest
+    /// first. At equal times spans come before events, and otherwise
+    /// record order holds.
+    pub fn render_postmortem(&self, per_component: usize) -> String {
+        // (time, name, event detail); a span start has no detail.
+        let mut by_component = BTreeMap::<&str, Vec<_>>::new();
+        for s in &self.spans {
+            let entry = (s.start, s.name.as_str(), None);
+            by_component.entry(component_of(&s.name)).or_default().push(entry);
+        }
+        for e in &self.events {
+            let entry = (e.time, e.name.as_str(), Some(e.detail.as_str()));
+            by_component.entry(component_of(&e.name)).or_default().push(entry);
+        }
+        let mut out = format!("== post-mortem (last {per_component} per component) ==\n");
+        for (component, mut entries) in by_component {
+            entries.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let kept = &entries[entries.len().saturating_sub(per_component)..];
+            out.push_str(&format!(
+                "-- {component} ({} recorded, {} retained) --\n",
+                entries.len(),
+                kept.len()
+            ));
+            for (time, name, detail) in kept {
+                match detail {
+                    None => out.push_str(&format!("  [{time:.3}] span  {name}\n")),
+                    Some(detail) => out.push_str(&format!("  [{time:.3}] event {name} {detail}\n")),
+                }
+            }
+        }
+        out
+    }
+
     /// Renders a fixed-width ASCII timeline: one row per span (capped
     /// at `max_rows`, earliest first), with `#` bars positioned
     /// proportionally between the trace's first start and last end.
@@ -387,6 +425,14 @@ impl Trace {
     }
 }
 
+/// The leading dotted segment of a span or event name.
+fn component_of(name: &str) -> &str {
+    match name.split_once('.') {
+        Some((head, _)) if !head.is_empty() => head,
+        _ => "other",
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,6 +528,28 @@ mod tests {
         t.end(a, 2.0);
         let s = t.render_tree();
         assert_eq!(s, "[0.000..2.000] root\n  [0.500..1.000] child rows=3\n");
+    }
+
+    #[test]
+    fn postmortem_keeps_the_newest_entries_per_component_oldest_first() {
+        let mut t = Trace::new();
+        for i in 0..5 {
+            let s = t.start(&format!("server.op{i}"), i as f64);
+            t.end(s, i as f64 + 0.5);
+        }
+        // Allocated last but older than op4: ordered by simulated time.
+        t.start_with_parent("server.late", 3.5, SpanId::NONE);
+        t.event("net.drop", 2.0, "endpoint=phone1");
+        t.start("plain", 0.0);
+        t.start(".leading", 1.0);
+        assert_eq!(
+            t.render_postmortem(3),
+            "== post-mortem (last 3 per component) ==\n\
+             -- net (1 recorded, 1 retained) --\n  [2.000] event net.drop endpoint=phone1\n\
+             -- other (2 recorded, 2 retained) --\n  [0.000] span  plain\n  [1.000] span  .leading\n\
+             -- server (6 recorded, 3 retained) --\n  [3.000] span  server.op3\n  \
+             [3.500] span  server.late\n  [4.000] span  server.op4\n"
+        );
     }
 
     #[test]

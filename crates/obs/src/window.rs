@@ -202,7 +202,7 @@ impl WindowRing {
         if capacity == 0 || n > capacity {
             return None;
         }
-        let mut windows = VecDeque::with_capacity(n);
+        let mut windows = VecDeque::with_capacity(n.min(64));
         for _ in 0..n {
             let index = get_u64(bytes, pos)?;
             let start = get_f64(bytes, pos)?;

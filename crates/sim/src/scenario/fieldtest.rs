@@ -113,8 +113,9 @@ pub struct FieldTestOutcome {
     /// One recovery summary per server crash (empty for crash-free or
     /// ephemeral runs), in crash order.
     pub recoveries: Vec<String>,
-    /// One rendered flight-recorder post-mortem per crash (empty
-    /// without a flight-equipped recorder), in crash order.
+    /// One post-mortem per crash, rendered from the trace at the crash
+    /// (see [`SorWorld::postmortems`]), in crash order; empty with a
+    /// disabled recorder.
     pub postmortems: Vec<String>,
     /// Every SLO alert the health engine fired during the run, in
     /// firing order (empty without periodic health checks or when every
@@ -336,8 +337,8 @@ pub fn run_coffee_field_test_durable(
     run_coffee_field_test_inner(cfg, Recorder::default(), Some(durable))
 }
 
-/// [`run_coffee_field_test_durable`] with an explicit recorder — pass a
-/// flight-equipped one to collect a post-mortem at every crash.
+/// [`run_coffee_field_test_durable`] with an explicit recorder — pass an
+/// enabled one to collect a post-mortem at every crash.
 ///
 /// # Errors
 ///

@@ -35,6 +35,9 @@ enum WorldEvent {
     HealthCheck { interval: f64, until: f64 },
 }
 
+/// Entries per component in a crash post-mortem.
+const POSTMORTEM_ENTRIES: usize = 64;
+
 /// The rebuild recipe for a durable world: the shared simulated disk,
 /// the durability knobs, and the application configuration to
 /// re-register after recovery (configuration is not data — the real
@@ -77,9 +80,11 @@ pub struct SorWorld {
     /// crash order — scenario assertions and the smoke binary read
     /// these.
     pub recoveries: Vec<String>,
-    /// One rendered flight-recorder dump per server crash, in crash
-    /// order — the deterministic post-mortem of what the deployment was
-    /// doing when it died.
+    /// One post-mortem per server crash, in crash order: the last 64
+    /// span starts and events of each component (by name prefix),
+    /// rendered from the trace at the crash, before recovery runs, so
+    /// it shows what the deployment was doing when it died. Empty when
+    /// the recorder is disabled.
     pub postmortems: Vec<String>,
     /// Every SLO alert fired by the health engine, in firing order.
     pub alerts: Vec<Alert>,
@@ -321,6 +326,9 @@ impl SorWorld {
                     .durable
                     .clone()
                     .expect("ServerCrash scheduled on a world without durable storage");
+                if let Some(dump) = self.recorder.trace_postmortem(POSTMORTEM_ENTRIES) {
+                    self.postmortems.push(dump);
+                }
                 // Kill: anything the server had not flushed is torn off
                 // by the disk's fault model. The old server object is
                 // simply dropped — nothing gets a chance to sync.
@@ -340,9 +348,6 @@ impl SorWorld {
                 }
                 self.stats.server_crashes += 1;
                 self.recoveries.push(report.summary());
-                if let Some(dump) = self.recorder.flight_render() {
-                    self.postmortems.push(dump);
-                }
                 self.recorder.count("sim.server_crashes", 1);
             }
             WorldEvent::ProcessData { interval, until } => {

@@ -1,8 +1,9 @@
-//! Acceptance tests for causal cross-component tracing, the flight
-//! recorder, and the SLO/health engine: one trace tree from task
-//! dispatch on the server through script execution on the phone and
-//! back to the rank the upload eventually feeds.
+//! Acceptance tests for causal cross-component tracing, crash
+//! post-mortems rendered from the trace, and the SLO/health engine: one
+//! trace tree from task dispatch on the server through script execution
+//! on the phone and back to the rank the upload eventually feeds.
 
+use sor_durable::DurableOptions;
 use sor_obs::{naming, Recorder, Span, SpanId, Trace};
 use sor_sim::scenario::{
     run_coffee_field_test_durable_traced, run_coffee_field_test_traced, DurableRun, FieldTestConfig,
@@ -70,15 +71,14 @@ fn golden_trace_is_identical_at_one_and_eight_workers() {
     assert_eq!(metrics_one, metrics_eight, "metrics must not depend on worker count");
 }
 
-/// A crashing durable run dumps one deterministic flight-recorder
-/// post-mortem per crash, and the dump names the work in flight.
+/// A crashing durable run dumps one deterministic post-mortem per
+/// crash, and the dump names the work in flight.
 #[test]
 fn server_crash_produces_deterministic_postmortem() {
     let run = || {
         let cfg = FieldTestConfig::quick(9);
         let durable = DurableRun::crashes_at(&cfg, vec![cfg.duration * 0.6]);
-        let rec = Recorder::enabled().with_flight(64);
-        run_coffee_field_test_durable_traced(cfg, durable, rec).unwrap()
+        run_coffee_field_test_durable_traced(cfg, durable, Recorder::enabled()).unwrap()
     };
     let a = run();
     let b = run();
@@ -89,6 +89,45 @@ fn server_crash_produces_deterministic_postmortem() {
     assert!(
         dump.contains("server.handle_message") || dump.contains("phone.script_run"),
         "post-mortem names recent pipeline work:\n{dump}"
+    );
+}
+
+/// The post-mortem shows the server when it died, not as of its last
+/// checkpoint: with checkpoints well before the crash, its newest
+/// `server.*` entry is still the newest `server.*` span the trace
+/// started before the crash.
+#[test]
+fn postmortem_shows_the_server_at_the_crash_not_at_its_last_checkpoint() {
+    let cfg = FieldTestConfig::quick(9);
+    let crash_at = cfg.duration * 0.6;
+    let mut durable = DurableRun::crashes_at(&cfg, vec![crash_at]);
+    durable.opts = DurableOptions { checkpoint_every_ops: 200, ..durable.opts };
+    let rec = Recorder::enabled();
+    let out = run_coffee_field_test_durable_traced(cfg, durable, rec.clone()).unwrap();
+    assert!(out.recoveries[0].contains("checkpoint=yes"), "{}", out.recoveries[0]);
+
+    // Spans allocated before the crash's recovery span started before
+    // the crash (sim time alone cannot order same-instant work).
+    let trace = rec.trace_snapshot().unwrap();
+    let recovery = trace
+        .spans()
+        .iter()
+        .position(|s| s.name == "durable.recovery" && s.start == crash_at)
+        .expect("recovery runs at the crash");
+    let newest = trace.spans()[..recovery]
+        .iter()
+        .filter(|s| s.name.starts_with("server."))
+        .map(|s| s.start)
+        .fold(f64::NEG_INFINITY, f64::max);
+
+    let dump = &out.postmortems[0];
+    let server = dump.split("-- server ").nth(1).expect("post-mortem has a server section");
+    // Skip the section header; entries run until the next section.
+    let last = server.lines().skip(1).take_while(|l| l.starts_with("  [")).last();
+    let last = last.expect("server section has entries");
+    assert!(
+        last.starts_with(&format!("  [{newest:.3}] span  server.")),
+        "newest server entry {last:?}, newest pre-crash server span at {newest:.3}:\n{dump}"
     );
 }
 

@@ -36,7 +36,6 @@ pub mod changelog;
 pub mod database;
 pub mod index;
 pub mod predicate;
-pub mod query;
 pub mod schema;
 pub mod table;
 pub mod value;
@@ -44,7 +43,6 @@ pub mod value;
 pub use changelog::{ChangeLog, LogOp};
 pub use database::Database;
 pub use predicate::Predicate;
-pub use query::Query;
 pub use schema::{Column, ColumnType, Schema};
 pub use table::{Row, RowId, Table};
 pub use value::Value;

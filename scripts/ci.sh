@@ -151,9 +151,11 @@ run cargo bench --offline -p sor-bench --bench wal_overhead
 
 # Parallel-speedup guard: rank_many over 64 users on 8 workers must beat
 # the sequential path by >=1.5x, and a warm rank-cache hit must beat a
-# cold rank by >=10x. The thread-scaling check needs real hardware
-# parallelism, so it is skipped on a single-core machine; the cache
-# check always runs.
+# cold rank by >=10x. The thread-scaling check reads the median seq/par8
+# ratio of ABBA-paired runs (the last field of the bench's
+# par8_speedup line), so drift in the host's speed between two separate
+# means cannot decide it. It needs real hardware parallelism, so it is
+# skipped on a single-core machine; the cache check always runs.
 rank_out=$(cargo bench --offline -p sor-bench --bench rank_scale)
 printf '%s\n' "$rank_out"
 ns_of() { printf '%s\n' "$rank_out" | awk -v id="$1" '$2 == id { print substr($3, 2) }'; }
@@ -165,14 +167,13 @@ if [ "$((cold / hit))" -lt 10 ]; then
 fi
 echo "==> rank cache hit speedup OK (${cold} ns cold vs ${hit} ns hit)"
 if [ "$(nproc 2>/dev/null || echo 1)" -gt 1 ]; then
-    seq64=$(ns_of rank_scale/seq/users=64)
-    par64=$(ns_of rank_scale/par8/users=64)
-    # 1.5x without floats: 2*seq >= 3*par.
-    if [ "$((2 * seq64))" -lt "$((3 * par64))" ]; then
-        echo "FAIL par8 rank_many (${par64} ns) is not >=1.5x faster than sequential (${seq64} ns)" >&2
+    speedup=$(printf '%s\n' "$rank_out" |
+        awk '$2 == "rank_scale/par8_speedup/users=64" { print $NF }')
+    if ! awk -v s="$speedup" 'BEGIN { exit !(s >= 1.5) }'; then
+        echo "FAIL par8 rank_many is not >=1.5x faster than sequential (median paired ratio ${speedup})" >&2
         exit 1
     fi
-    echo "==> rank_many parallel speedup OK (${seq64} ns seq vs ${par64} ns par8)"
+    echo "==> rank_many parallel speedup OK (median paired seq/par8 ratio ${speedup})"
 else
     echo "==> skipping rank_many speedup guard (single hardware thread)"
 fi
