@@ -1,10 +1,12 @@
-//! Flow-substrate benchmarks: min-cost flow vs Hungarian on assignment
-//! instances of growing size.
+//! Assignment-solver benchmarks: the §IV-B aggregation's min-cost
+//! perfect matching on random instances of growing size, and on a fully
+//! tied 64×64 matrix. Under a full tie every arc is tight, the worst
+//! case of the solver's canonical tie-breaking pass.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sor_flow::{assignment, hungarian};
+use sor_flow::assignment;
 
 fn cost_matrix(n: usize) -> Vec<Vec<i64>> {
     let mut state = 0x0123_4567_89AB_CDEFu64;
@@ -22,17 +24,18 @@ fn cost_matrix(n: usize) -> Vec<Vec<i64>> {
         .collect()
 }
 
-fn bench_backends(c: &mut Criterion) {
+fn bench_assignment(c: &mut Criterion) {
     let mut g = c.benchmark_group("flow/assignment");
-    for n in [5usize, 20, 50, 100] {
+    for n in [5usize, 20, 50, 64, 100] {
         let cost = cost_matrix(n);
-        g.bench_with_input(BenchmarkId::new("mincost_flow", n), &cost, |b, cost| {
-            b.iter(|| black_box(assignment::solve(cost).unwrap()))
-        });
-        g.bench_with_input(BenchmarkId::new("hungarian", n), &cost, |b, cost| {
-            b.iter(|| black_box(hungarian::solve(cost).unwrap()))
+        g.bench_with_input(BenchmarkId::new("random", n), &cost, |b, cost| {
+            b.iter(|| black_box(assignment::solve(black_box(cost)).unwrap()))
         });
     }
+    let tied = vec![vec![7i64; 64]; 64];
+    g.bench_with_input(BenchmarkId::new("tied", 64), &tied, |b, cost| {
+        b.iter(|| black_box(assignment::solve(black_box(cost)).unwrap()))
+    });
     g.finish();
 }
 
@@ -42,6 +45,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(30);
-    targets = bench_backends
+    targets = bench_assignment
 }
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! Overhead guard for the durability layer: running the coffee-shop
 //! field test on a durable server (write-ahead log on a simulated
-//! disk, group commit of 1 — every ack flushed) must cost less than 5%
-//! over the ephemeral server.
+//! disk, every ack flushed) must cost less than 5% over the ephemeral
+//! server.
 //!
 //! Method: paired rounds. Each round times one ephemeral and one
 //! durable run back to back, in ABBA order (ephemeral first in even

@@ -21,7 +21,8 @@
 //!    preferred values, per-feature *individual rankings*, and finally
 //!    aggregated under the **weighted Spearman footrule** by solving a
 //!    minimum-cost perfect matching (via [`sor_flow`]), which
-//!    2-approximates the NP-hard weighted Kemeny-optimal ranking. Exact
+//!    2-approximates the NP-hard weighted Kemeny-optimal ranking; ties
+//!    between optima go to the lexicographically smallest order. Exact
 //!    Kemeny (bitmask DP for small `N`) and Borda baselines are included
 //!    for evaluation.
 //!

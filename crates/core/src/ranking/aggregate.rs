@@ -6,7 +6,10 @@
 //! f-ranking distance** `κ_f` (eq. 11) instead, which is within a factor
 //! 2 by the Diaconis–Graham inequality (eq. 10). The footrule-optimal
 //! ranking is found exactly as a min-cost perfect matching between
-//! places and rank positions on the auxiliary flow graph of §IV-B.
+//! places and rank positions on the auxiliary flow graph of §IV-B
+//! ([`sor_flow::assignment::solve`]). Among equal-cost optima it is the
+//! lexicographically smallest order: the lower place index gets the
+//! better position, so the ranking depends on the input alone.
 
 use sor_flow::assignment;
 
@@ -22,7 +25,8 @@ const COST_SCALE: f64 = (1u64 << 20) as f64;
 /// How to aggregate individual rankings into the final ranking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AggregationMethod {
-    /// The paper's method: weighted-footrule-optimal via min-cost flow.
+    /// The paper's method: weighted-footrule-optimal via min-cost flow;
+    /// ties between optima go to the lexicographically smallest order.
     #[default]
     FootruleFlow,
     /// The paper's method followed by *local Kemenization*: adjacent
@@ -144,7 +148,8 @@ fn local_kemenize(r: Ranking, rankings: &[Ranking], weights: &[f64]) -> Ranking 
     Ranking::from_order(order).expect("swaps preserve the permutation")
 }
 
-/// Exact weighted-footrule aggregation: the §IV-B flow construction.
+/// Exact weighted-footrule aggregation: the §IV-B flow construction,
+/// whose canonical optimum is the smallest order among the optimal ones.
 fn footrule_optimal(rankings: &[Ranking], weights: &[f64], n: usize) -> Result<Ranking, CoreError> {
     let sol = assignment::solve(&footrule_cost(rankings, weights, n))?;
     // sol.assignment[i] = position of place i; invert to an order.
@@ -296,17 +301,51 @@ mod tests {
         }
     }
 
+    /// The smallest order among the weighted-footrule optima
+    /// (`all_perms` lists orders lexicographically).
+    fn smallest_footrule_optimum(rankings: &[Ranking], weights: &[f64]) -> Ranking {
+        let mut best: Option<(f64, Ranking)> = None;
+        for r in all_perms(rankings[0].len()) {
+            let c = weighted_footrule(&r, rankings, weights);
+            if best.as_ref().is_none_or(|(b, _)| c < *b) {
+                best = Some((c, r));
+            }
+        }
+        best.expect("at least one order").1
+    }
+
     #[test]
     fn footrule_flow_is_optimal_by_enumeration() {
-        let rankings = vec![rk(&[0, 1, 2, 3]), rk(&[3, 2, 1, 0]), rk(&[1, 3, 0, 2])];
-        let weights = vec![5.0, 1.0, 2.0];
-        let agg = aggregate(&rankings, &weights, AggregationMethod::FootruleFlow).unwrap();
-        let best = all_perms(4)
-            .into_iter()
-            .map(|r| weighted_footrule(&r, &rankings, &weights))
-            .fold(f64::INFINITY, f64::min);
-        let got = weighted_footrule(&agg, &rankings, &weights);
-        assert!((got - best).abs() < 1e-9, "got {got}, optimal {best}");
+        // Integer weights make the fixed-point costs exact, so the
+        // enumeration's ties are the solver's.
+        let cases = vec![
+            (vec![rk(&[0, 1, 2, 3]), rk(&[3, 2, 1, 0]), rk(&[1, 3, 0, 2])], vec![5.0, 1.0, 2.0]),
+            (
+                vec![rk(&[4, 2, 0, 1, 3]), rk(&[0, 1, 2, 3, 4]), rk(&[1, 0, 3, 2, 4])],
+                vec![3.0, 2.0, 4.0],
+            ),
+            (vec![rk(&[2, 0, 1]), rk(&[1, 2, 0]), rk(&[0, 1, 2])], vec![1.0, 1.0, 1.0]),
+            (vec![rk(&[0, 1, 2, 3]), rk(&[3, 2, 1, 0])], vec![2.0, 2.0]),
+            (vec![rk(&[3, 1, 0, 2]), rk(&[0, 2, 1, 3])], vec![4.0, 4.0]),
+        ];
+        for (rankings, weights) in cases {
+            let agg = aggregate(&rankings, &weights, AggregationMethod::FootruleFlow).unwrap();
+            assert_eq!(agg, smallest_footrule_optimum(&rankings, &weights), "{rankings:?}");
+        }
+    }
+
+    #[test]
+    fn footrule_flow_attains_the_cost_matrix_optimum() {
+        let rankings = vec![rk(&[4, 2, 0, 1, 3]), rk(&[0, 1, 2, 3, 4]), rk(&[1, 0, 3, 2, 4])];
+        let weights = vec![3.0, 2.0, 4.0];
+        let flow = aggregate(&rankings, &weights, AggregationMethod::FootruleFlow).unwrap();
+        // The matrix optimum, read back as a footrule; integer weights
+        // make the fixed-point cost exact.
+        let optimum = assignment::solve(&footrule_cost(&rankings, &weights, 5))
+            .expect("square matrix")
+            .total_cost;
+        let flow_cost = weighted_footrule(&flow, &rankings, &weights);
+        assert_eq!(flow_cost, optimum as f64 / COST_SCALE);
     }
 
     #[test]
@@ -379,16 +418,19 @@ mod tests {
     }
 
     #[test]
-    fn flow_and_hungarian_agree_on_cost() {
-        let rankings = vec![rk(&[4, 2, 0, 1, 3]), rk(&[0, 1, 2, 3, 4]), rk(&[1, 0, 3, 2, 4])];
-        let weights = vec![3.0, 2.0, 4.0];
-        let flow = aggregate(&rankings, &weights, AggregationMethod::FootruleFlow).unwrap();
-        // The Hungarian oracle on the same cost matrix; integer weights
-        // make the fixed-point cost exact.
-        let (_, hungarian) = sor_flow::hungarian::solve(&footrule_cost(&rankings, &weights, 5))
-            .expect("square matrix");
-        let flow_cost = weighted_footrule(&flow, &rankings, &weights);
-        assert_eq!(flow_cost, hungarian as f64 / COST_SCALE);
+    fn methods_produce_valid_permutations() {
+        let rankings = vec![rk(&[2, 0, 1, 3]), rk(&[3, 1, 0, 2]), rk(&[0, 1, 2, 3])];
+        let weights = vec![3.0, 2.5, 5.0];
+        for method in [
+            AggregationMethod::FootruleFlow,
+            AggregationMethod::FootruleKemenized,
+            AggregationMethod::KemenyExact,
+            AggregationMethod::Borda,
+        ] {
+            let mut order = aggregate(&rankings, &weights, method).unwrap().order().to_vec();
+            order.sort();
+            assert_eq!(order, vec![0, 1, 2, 3], "{method:?}");
+        }
     }
 
     #[test]

@@ -118,8 +118,8 @@ impl std::fmt::Display for PlaceExplanation {
     }
 }
 
-/// The Personalizable Ranker component of the sensing server (§II-B),
-/// configured with an aggregation method.
+/// The Personalizable Ranker component of the sensing server (§II-B):
+/// Algorithm 2 with the paper's footrule aggregation.
 ///
 /// # Example
 ///
@@ -140,24 +140,12 @@ impl std::fmt::Display for PlaceExplanation {
 /// # Ok::<(), sor_core::CoreError>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PersonalizableRanker {
-    method: AggregationMethod,
-}
+pub struct PersonalizableRanker;
 
 impl PersonalizableRanker {
     /// Ranker using the paper's footrule/min-cost-flow aggregation.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Ranker with an explicit aggregation method.
-    pub fn with_method(method: AggregationMethod) -> Self {
-        PersonalizableRanker { method }
-    }
-
-    /// The configured aggregation method.
-    pub fn method(&self) -> AggregationMethod {
-        self.method
+        PersonalizableRanker
     }
 
     /// Runs Algorithm 2: distances, individual rankings, aggregation.
@@ -181,7 +169,7 @@ impl PersonalizableRanker {
             // No features: every order is equally good; use identity.
             Ranking::identity(h.n_places())
         } else {
-            aggregate(&individual, &weights, self.method)?
+            aggregate(&individual, &weights, AggregationMethod::FootruleFlow)?
         };
         Ok(RankingOutcome { gamma, individual, final_ranking })
     }
@@ -269,30 +257,6 @@ mod tests {
         assert_eq!(outcome.gamma[0].len(), 4);
         assert_eq!(outcome.individual.len(), 4);
         assert_eq!(outcome.final_ranking.len(), 3);
-    }
-
-    #[test]
-    fn methods_produce_valid_permutations() {
-        let prefs = UserPreferences::new(
-            "x",
-            vec![
-                Preference::value(70.0, 3),
-                Preference::largest(2),
-                Preference::smallest(5),
-                Preference::largest(1),
-            ],
-        );
-        let h = coffee_matrix();
-        for method in [
-            AggregationMethod::FootruleFlow,
-            AggregationMethod::KemenyExact,
-            AggregationMethod::Borda,
-        ] {
-            let out = PersonalizableRanker::with_method(method).rank(&h, &prefs).unwrap();
-            let mut order = out.final_ranking.order().to_vec();
-            order.sort();
-            assert_eq!(order, vec![0, 1, 2], "{method:?}");
-        }
     }
 
     #[test]

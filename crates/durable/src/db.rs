@@ -12,10 +12,6 @@ use crate::DurableError;
 /// Tuning knobs for the durability layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurableOptions {
-    /// Flush the log every N commits. 1 (the default) makes every
-    /// acknowledged commit crash-proof; larger values batch flushes —
-    /// the group-commit trade of a bounded loss window for throughput.
-    pub group_commit: usize,
     /// Write a checkpoint (and retire the log) after this many logged
     /// ops, bounding both log growth and replay time.
     pub checkpoint_every_ops: u64,
@@ -23,7 +19,7 @@ pub struct DurableOptions {
 
 impl Default for DurableOptions {
     fn default() -> Self {
-        DurableOptions { group_commit: 1, checkpoint_every_ops: 4096 }
+        DurableOptions { checkpoint_every_ops: 4096 }
     }
 }
 
@@ -76,7 +72,6 @@ pub struct DurableDatabase {
     storage: Option<Box<dyn Storage>>,
     opts: DurableOptions,
     epoch: u64,
-    unflushed_commits: usize,
     ops_since_checkpoint: u64,
     recorder: Recorder,
 }
@@ -98,7 +93,6 @@ impl DurableDatabase {
             storage: None,
             opts: DurableOptions::default(),
             epoch: 0,
-            unflushed_commits: 0,
             ops_since_checkpoint: 0,
             recorder: Recorder::default(),
         }
@@ -187,7 +181,6 @@ impl DurableDatabase {
             storage: Some(storage),
             opts,
             epoch,
-            unflushed_commits: 0,
             // Count the replayed log toward the next checkpoint so a
             // crash loop cannot grow the log without bound.
             ops_since_checkpoint: report.replayed_records as u64,
@@ -220,8 +213,8 @@ impl DurableDatabase {
     }
 
     /// The durability point: appends every captured op to the log and
-    /// (per the group-commit knob) flushes. Call after each atomic unit
-    /// of server work, *before* acknowledging it. No-op when ephemeral.
+    /// flushes it. Call after each atomic unit of server work, *before*
+    /// acknowledging it. No-op when ephemeral.
     ///
     /// # Errors
     ///
@@ -236,35 +229,14 @@ impl DurableDatabase {
         }
         let batch = encode_batch(&ops);
         storage.append(&wal_file(self.epoch), &batch)?;
-        self.unflushed_commits += 1;
-        if self.unflushed_commits >= self.opts.group_commit {
-            storage.flush(&wal_file(self.epoch))?;
-            self.unflushed_commits = 0;
-            self.recorder.count("durable.wal_flushes", 1);
-        }
+        storage.flush(&wal_file(self.epoch))?;
+        self.recorder.count("durable.wal_flushes", 1);
         self.recorder.count("durable.commits_applied", 1);
         self.recorder.count("durable.wal_appends", ops.len() as u64);
         self.recorder.count("durable.wal_bytes", batch.len() as u64);
         self.ops_since_checkpoint += ops.len() as u64;
         if self.ops_since_checkpoint >= self.opts.checkpoint_every_ops {
             self.checkpoint()?;
-        }
-        Ok(())
-    }
-
-    /// Forces any group-commit-buffered appends to durable storage
-    /// (e.g. on clean shutdown).
-    ///
-    /// # Errors
-    ///
-    /// [`DurableError::Io`] from the backend.
-    pub fn sync(&mut self) -> Result<(), DurableError> {
-        if let Some(storage) = &mut self.storage {
-            if self.unflushed_commits > 0 {
-                storage.flush(&wal_file(self.epoch))?;
-                self.unflushed_commits = 0;
-                self.recorder.count("durable.wal_flushes", 1);
-            }
         }
         Ok(())
     }
@@ -291,7 +263,6 @@ impl DurableDatabase {
         storage.write_atomic(CHECKPOINT_FILE, &encode_frame(w.as_slice()))?;
         storage.remove(&wal_file(self.epoch))?;
         self.epoch = new_epoch;
-        self.unflushed_commits = 0;
         self.ops_since_checkpoint = 0;
         self.recorder.count("durable.checkpoints_taken", 1);
         self.recorder.gauge("durable.checkpoint_bytes", snapshot.len() as f64);
@@ -361,39 +332,34 @@ mod tests {
     }
 
     #[test]
-    fn recovery_is_a_committed_prefix_under_group_commit() {
-        // With group_commit > 1 a crash may lose the unflushed batch
-        // tail, but what survives must be an exact prefix of commits.
+    fn recovery_is_a_committed_prefix_after_an_unflushed_append() {
+        // A crash mid-append leaves a batch on the disk unflushed; the
+        // disk keeps some noise-chosen prefix of it. What recovers must
+        // be an exact prefix of the commits, and a torn tail must never
+        // read as corruption.
         for seed in 0..40 {
             let disk = SimDisk::new(seed);
-            let opts = DurableOptions { group_commit: 4, ..DurableOptions::default() };
-            let (mut ddb, _) = open_sim(&disk, opts);
+            let (mut ddb, _) = open_sim(&disk, DurableOptions::default());
             seed_rows(&mut ddb, 17);
+            for n in 17..21 {
+                ddb.db_mut().insert("t", vec![Value::Int(n)]).unwrap();
+            }
+            // `commit` without its flush.
+            let batch = encode_batch(&ddb.changelog.drain());
+            disk.clone().append(&wal_file(ddb.epoch), &batch).unwrap();
             drop(ddb);
             disk.crash();
-            let (ddb, report) = open_sim(&disk, opts);
+            let (ddb, report) = open_sim(&disk, DurableOptions::default());
             let rows = ddb.db().scan("t", &Predicate::True).unwrap();
             let got: Vec<i64> = rows.iter().map(|r| r.values[0].as_int().unwrap()).collect();
             let expect: Vec<i64> = (0..got.len() as i64).collect();
             assert_eq!(got, expect, "seed {seed}: recovered rows are a prefix");
+            assert!(got.len() >= 17, "seed {seed}: flushed commits survive");
             assert!(
                 report.tail != TailState::Corrupt,
                 "seed {seed}: a torn write must never read as corruption"
             );
         }
-    }
-
-    #[test]
-    fn flushed_commits_always_survive_group_commit_crashes() {
-        let disk = SimDisk::new(3);
-        let opts = DurableOptions { group_commit: 4, ..DurableOptions::default() };
-        let (mut ddb, _) = open_sim(&disk, opts);
-        seed_rows(&mut ddb, 10);
-        ddb.sync().unwrap();
-        drop(ddb);
-        disk.crash();
-        let (ddb, _) = open_sim(&disk, opts);
-        assert_eq!(count(&ddb), 10, "sync() closes the group-commit loss window");
     }
 
     #[test]
@@ -418,7 +384,7 @@ mod tests {
     #[test]
     fn automatic_checkpoint_bounds_log_replay() {
         let disk = SimDisk::new(19);
-        let opts = DurableOptions { checkpoint_every_ops: 10, ..DurableOptions::default() };
+        let opts = DurableOptions { checkpoint_every_ops: 10 };
         let (mut ddb, _) = open_sim(&disk, opts);
         seed_rows(&mut ddb, 50);
         drop(ddb);

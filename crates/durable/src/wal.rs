@@ -2,10 +2,9 @@
 //!
 //! The write-ahead log is a byte stream of CRC-framed
 //! [`LogOp`](sor_store::LogOp) records ([`sor_proto::frame`]). One
-//! commit appends one batch of frames; group commit concatenates
-//! several batches into a single flush. Replay walks the stream,
-//! applies every valid record, and reports how the stream ended — the
-//! caller truncates anything past the valid prefix.
+//! commit appends and flushes one batch of frames. Replay walks the
+//! stream, applies every valid record, and reports how the stream ended
+//! — the caller truncates anything past the valid prefix.
 
 use sor_proto::frame::{encode_frame_into, FrameError, FrameScanner};
 use sor_store::{Database, LogOp};

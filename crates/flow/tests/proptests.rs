@@ -1,54 +1,63 @@
-//! Property-based tests for the flow substrate.
+//! Property-based tests for the assignment solver, against brute force.
 
 use proptest::prelude::*;
-use sor_flow::assignment::solve;
-use sor_flow::hungarian;
-use sor_flow::validate::{check_capacities, check_conservation, is_min_cost};
-use sor_flow::{Graph, MinCostFlow, NodeId};
+use sor_flow::assignment::{solve, AssignmentSolution};
 
-/// Strategy: a random square cost matrix with n in 1..=7 and small costs.
+/// Strategy: a random square cost matrix with n in 1..=7 and costs in
+/// `0..2`, `0..4` or `0..50`; the narrow ranges make most instances
+/// have several optima.
 fn cost_matrix() -> impl Strategy<Value = Vec<Vec<i64>>> {
-    (1usize..=7)
-        .prop_flat_map(|n| proptest::collection::vec(proptest::collection::vec(0i64..50, n), n))
+    (1usize..=7, 0usize..3).prop_flat_map(|(n, range)| {
+        let hi = [2i64, 4, 50][range];
+        proptest::collection::vec(proptest::collection::vec(0i64..hi, n), n)
+    })
 }
 
-/// Brute-force optimal assignment cost for cross-checking.
-fn brute_force(cost: &[Vec<i64>]) -> i64 {
-    fn rec(cost: &[Vec<i64>], used: &mut Vec<bool>, row: usize, acc: i64, best: &mut i64) {
+/// The optimum with the smallest column order: enumerates the orders
+/// (row at column 0, row at column 1, …) lexicographically and keeps
+/// the first of minimum cost.
+fn brute_force(cost: &[Vec<i64>]) -> AssignmentSolution {
+    fn rec(
+        cost: &[Vec<i64>],
+        order: &mut Vec<usize>,
+        used: &mut [bool],
+        acc: i64,
+        best: &mut Option<(i64, Vec<usize>)>,
+    ) {
         let n = cost.len();
-        if acc >= *best {
+        if order.len() == n {
+            if best.as_ref().is_none_or(|(c, _)| acc < *c) {
+                *best = Some((acc, order.clone()));
+            }
             return;
         }
-        if row == n {
-            *best = acc;
-            return;
-        }
-        for j in 0..n {
-            if !used[j] {
-                used[j] = true;
-                rec(cost, used, row + 1, acc + cost[row][j], best);
-                used[j] = false;
+        let j = order.len();
+        for i in 0..n {
+            if !used[i] {
+                used[i] = true;
+                order.push(i);
+                rec(cost, order, used, acc + cost[i][j], best);
+                order.pop();
+                used[i] = false;
             }
         }
     }
-    let mut used = vec![false; cost.len()];
-    let mut best = i64::MAX;
-    rec(cost, &mut used, 0, 0, &mut best);
-    best
+    let mut best = None;
+    rec(cost, &mut Vec::new(), &mut vec![false; cost.len()], 0, &mut best);
+    let (total_cost, order) = best.expect("non-empty matrix");
+    let mut assignment = vec![0; order.len()];
+    for (j, &i) in order.iter().enumerate() {
+        assignment[i] = j;
+    }
+    AssignmentSolution { assignment, total_cost }
 }
 
 proptest! {
-    #[test]
-    fn assignment_backends_agree(cost in cost_matrix()) {
-        let flow = solve(&cost).unwrap();
-        let (_, hungarian_cost) = hungarian::solve(&cost).unwrap();
-        prop_assert_eq!(flow.total_cost, hungarian_cost);
-    }
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn assignment_matches_brute_force(cost in cost_matrix()) {
-        let a = solve(&cost).unwrap();
-        prop_assert_eq!(a.total_cost, brute_force(&cost));
+        prop_assert_eq!(solve(&cost).unwrap(), brute_force(&cost));
     }
 
     #[test]
@@ -60,70 +69,6 @@ proptest! {
             prop_assert!(j < n);
             prop_assert!(!seen[j]);
             seen[j] = true;
-        }
-    }
-
-    /// Random layered graphs: flow must conserve, respect capacities and
-    /// leave no negative residual cycle.
-    #[test]
-    fn random_flow_is_valid(
-        edges in proptest::collection::vec((0usize..8, 0usize..8, 1i64..10, 0i64..20), 1..40)
-    ) {
-        let mut g = Graph::new(10);
-        let s = NodeId(8);
-        let t = NodeId(9);
-        for &(u, v, cap, cost) in &edges {
-            if u != v {
-                g.add_edge(NodeId(u), NodeId(v), cap, cost);
-            }
-        }
-        // Wire source/sink to a few nodes deterministically.
-        g.add_edge(s, NodeId(0), 5, 0);
-        g.add_edge(s, NodeId(1), 5, 0);
-        g.add_edge(NodeId(6), t, 5, 0);
-        g.add_edge(NodeId(7), t, 5, 0);
-        let mut solver = MinCostFlow::new(g);
-        solver.solve_max(s, t).unwrap();
-        let g = solver.graph();
-        prop_assert!(check_capacities(g));
-        let report = check_conservation(g, s, t);
-        prop_assert!(report.is_valid(), "{:?}", report);
-        prop_assert!(is_min_cost(g));
-    }
-
-    /// Cost of solve_up_to is monotone non-decreasing in the limit and the
-    /// marginal cost per unit is non-decreasing (convexity of min-cost
-    /// flow in the flow amount).
-    #[test]
-    fn flow_cost_is_convex_in_amount(
-        edges in proptest::collection::vec((0usize..6, 0usize..6, 1i64..5, 0i64..15), 1..25)
-    ) {
-        let build = || {
-            let mut g = Graph::new(8);
-            for &(u, v, cap, cost) in &edges {
-                if u != v {
-                    g.add_edge(NodeId(u), NodeId(v), cap, cost);
-                }
-            }
-            g.add_edge(NodeId(6), NodeId(0), 10, 0);
-            g.add_edge(NodeId(5), NodeId(7), 10, 0);
-            g
-        };
-        let mut max_solver = MinCostFlow::new(build());
-        let max = max_solver.solve_max(NodeId(6), NodeId(7)).unwrap().flow;
-        let mut costs = Vec::new();
-        for amount in 0..=max {
-            let mut solver = MinCostFlow::new(build());
-            let res = solver.solve_exact(NodeId(6), NodeId(7), amount).unwrap();
-            costs.push(res.cost);
-        }
-        // Monotone.
-        for w in costs.windows(2) {
-            prop_assert!(w[1] >= w[0]);
-        }
-        // Convex marginals.
-        for w in costs.windows(3) {
-            prop_assert!(w[2] - w[1] >= w[1] - w[0]);
         }
     }
 }

@@ -64,8 +64,8 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Appends a framed payload to an existing buffer (one group-commit
-/// batch is many frames in one write).
+/// Appends a framed payload to an existing buffer (one commit's batch
+/// is many frames in one write).
 pub fn encode_frame_into(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);

@@ -90,6 +90,7 @@ mod tests {
     use crate::application::ApplicationSpec;
     use crate::feature::{Extractor, FeatureSpec};
     use crate::processor::{DataProcessor, FeatureState};
+    use crate::SensingServer;
     use sor_core::ranking::Preference;
     use sor_proto::{Message, SensedRecord};
 
@@ -147,6 +148,81 @@ mod tests {
         let cold_lover = UserPreferences::new("c", vec![Preference::value(60.0, 5)]);
         let r = rank_category(&db, &apps, "coffee-shop", &cold_lover).unwrap();
         assert_eq!(r.order, vec!["cold shop", "warm shop"]);
+    }
+
+    /// A server with two coffee shops measured on two sensors: app 1
+    /// reads `values[0]`, app 2 reads `values[1]`.
+    fn two_feature_server(values: [(f64, f64); 2]) -> SensingServer {
+        use sor_sensors::SensorKind;
+        let (a, b) = (SensorKind::Temperature.wire_id(), SensorKind::Humidity.wire_id());
+        let mut s = SensingServer::new().unwrap();
+        for (app_id, (va, vb)) in (1u64..).zip(values) {
+            s.register_application(ApplicationSpec {
+                app_id,
+                name: format!("shop {app_id}"),
+                creator: "o".into(),
+                category: "coffee-shop".into(),
+                latitude: 43.05,
+                longitude: -76.15,
+                radius_m: 150.0,
+                script: "get_temperature_readings(3)".into(),
+                period_seconds: 3600.0,
+                instants: 360,
+                features: vec![
+                    FeatureSpec::new("a", "", Extractor::Mean { sensor: a }, 60.0),
+                    FeatureSpec::new("b", "", Extractor::Mean { sensor: b }, 60.0),
+                ],
+            })
+            .unwrap();
+            let replies = s
+                .handle_message(&Message::ParticipationRequest {
+                    token: app_id * 10,
+                    app_id,
+                    latitude: 43.0501,
+                    longitude: -76.1501,
+                    budget: 3,
+                    stay_seconds: 600.0,
+                })
+                .unwrap();
+            let Some((_, Message::ScheduleAssignment { task_id, .. })) = replies.last() else {
+                panic!("no schedule for app {app_id}: {replies:?}")
+            };
+            let record = |sensor, value| SensedRecord {
+                timestamp: 10.0,
+                window: 1.0,
+                sensor,
+                values: vec![value],
+            };
+            s.handle_message(&Message::SensedDataUpload {
+                task_id: *task_id,
+                records: vec![record(a, va), record(b, vb)],
+            })
+            .unwrap();
+        }
+        s.process_data().unwrap();
+        s
+    }
+
+    #[test]
+    fn footrule_ties_go_to_the_lower_app_id() {
+        // Equal weights and opposite individual orders: both rankings
+        // have the same weighted footrule cost, whichever shop holds
+        // which values, and the tie goes to app 1.
+        let prefs = UserPreferences::new("t", vec![Preference::largest(3), Preference::largest(3)]);
+        for values in [[(1.0, 2.0), (2.0, 1.0)], [(2.0, 1.0), (1.0, 2.0)]] {
+            let mut s = two_feature_server(values);
+            let direct =
+                rank_category(s.database(), s.applications(), "coffee-shop", &prefs).unwrap();
+            assert_eq!(direct.app_order, vec![1, 2], "values {values:?}");
+            let rec = sor_obs::Recorder::enabled();
+            s.set_recorder(rec.clone());
+            let cold = s.rank("coffee-shop", &prefs).unwrap();
+            let cached = s.rank("coffee-shop", &prefs).unwrap();
+            assert_eq!(rec.counter("server.rank_cache_misses"), 1);
+            assert_eq!(rec.counter("server.rank_cache_hits"), 1);
+            assert_eq!(cold.app_order, vec![1, 2], "values {values:?}");
+            assert_eq!(cached.app_order, vec![1, 2], "values {values:?}");
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! invariants must hold at every crash schedule:
 //!
 //! 1. recovery never panics or errors — the run completes;
-//! 2. every acked upload survives (with the default group-commit of 1
-//!    the WAL is flushed before the ack leaves the server);
+//! 2. every acked upload survives (every commit flushes the WAL before
+//!    the ack leaves the server);
 //! 3. when all data was acked, the final ranking, every task's stored
 //!    schedule and every feature are identical to the crash-free run's:
 //!    recovery restores each scheduler exactly, so the phones are sent
@@ -92,7 +92,7 @@ fn k_evenly_spaced_crashes_preserve_acked_data_and_ranking() {
         }
         assert!(out.stats.uploads_accepted > 0, "k={k}: {:?}", out.stats);
         // Everything was acked before each crash (perfect transport,
-        // group commit 1), so the recovered runs distribute the same
+        // a flush per commit), so the recovered runs distribute the same
         // schedules, compute the same features and rank identically.
         assert_eq!(rank_order(&out), base_order, "k={k} crashes at {crash_times:?}");
         let (schedules, features) = schedules_and_features(&out);

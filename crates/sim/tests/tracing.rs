@@ -3,7 +3,6 @@
 //! trace tree from task dispatch on the server through script execution
 //! on the phone and back to the rank the upload eventually feeds.
 
-use sor_durable::DurableOptions;
 use sor_obs::{naming, Recorder, Span, SpanId, Trace};
 use sor_sim::scenario::{
     run_coffee_field_test_durable_traced, run_coffee_field_test_traced, DurableRun, FieldTestConfig,
@@ -101,7 +100,7 @@ fn postmortem_shows_the_server_at_the_crash_not_at_its_last_checkpoint() {
     let cfg = FieldTestConfig::quick(9);
     let crash_at = cfg.duration * 0.6;
     let mut durable = DurableRun::crashes_at(&cfg, vec![crash_at]);
-    durable.opts = DurableOptions { checkpoint_every_ops: 200, ..durable.opts };
+    durable.opts.checkpoint_every_ops = 200;
     let rec = Recorder::enabled();
     let out = run_coffee_field_test_durable_traced(cfg, durable, rec.clone()).unwrap();
     assert!(out.recoveries[0].contains("checkpoint=yes"), "{}", out.recoveries[0]);

@@ -11,7 +11,7 @@
 //! | Module | Crate | Role |
 //! |---|---|---|
 //! | [`core`] | `sor-core` | coverage-maximising sensing scheduler (greedy 1/2-approx over a matroid) + personalizable ranking (weighted-footrule aggregation via min-cost flow) |
-//! | [`flow`] | `sor-flow` | min-cost flow assignment substrate (Hungarian as test oracle) |
+//! | [`flow`] | `sor-flow` | assignment solver for the aggregation: SSP min-cost matching with a canonical tie rule |
 //! | [`proto`] | `sor-proto` | binary wire protocol (varints, CRC-framed messages) |
 //! | [`script`] | `sor-script` | SenseScript — the Lua-like sensing-task DSL with a whitelisted interpreter |
 //! | [`sensors`] | `sor-sensors` | provider/manager sensor stack over synthetic environments |

@@ -75,40 +75,59 @@ fn store_holds_proto_frames_byte_exact() {
 #[test]
 fn ranking_matches_direct_flow_solution() {
     // The §IV-B construction: aggregating through the public ranking API
-    // equals solving the assignment problem manually on sor-flow.
+    // equals solving the assignment problem manually on sor-flow, and
+    // both are the smallest order among the footrule optima.
     use sor::core::ranking::{aggregate, AggregationMethod, PlaceId, Ranking};
-    use sor::flow::hungarian;
+    use sor::flow::solve_assignment;
 
-    let rankings = vec![
-        Ranking::from_order(vec![2, 0, 1, 3]).unwrap(),
-        Ranking::from_order(vec![0, 1, 3, 2]).unwrap(),
-        Ranking::from_order(vec![1, 0, 2, 3]).unwrap(),
-    ];
-    let weights = [3.0, 1.0, 2.0];
-    let agg = aggregate(&rankings, &weights, AggregationMethod::FootruleFlow).unwrap();
-
-    // Manual cost matrix (integer weights → exact).
     let n = 4;
-    let cost: Vec<Vec<i64>> = (0..n)
-        .map(|i| {
-            (0..n)
-                .map(|p| {
-                    rankings
-                        .iter()
-                        .zip(weights)
-                        .map(|(r, w)| (w as i64) * (r.position_of(PlaceId(i)).abs_diff(p) as i64))
-                        .sum()
-                })
-                .collect()
-        })
-        .collect();
-    let (_, manual_cost) = hungarian::solve(&cost).unwrap();
-    let api_cost: f64 = rankings
-        .iter()
-        .zip(weights)
-        .map(|(r, w)| w * sor::core::ranking::footrule_distance(&agg, r) as f64)
-        .sum();
-    assert_eq!(api_cost as i64, manual_cost);
+    let cases = [
+        (vec![vec![2, 0, 1, 3], vec![0, 1, 3, 2], vec![1, 0, 2, 3]], vec![3, 1, 2]),
+        // Two pairs of opposite rankings at equal weights: many optima.
+        (
+            vec![vec![0, 1, 2, 3], vec![3, 2, 1, 0], vec![1, 0, 3, 2], vec![2, 3, 0, 1]],
+            vec![1, 1, 1, 1],
+        ),
+        (vec![vec![3, 2, 1, 0], vec![0, 1, 2, 3], vec![1, 2, 3, 0]], vec![2, 2, 0]),
+    ];
+    for (orders, weights) in cases {
+        let rankings: Vec<Ranking> =
+            orders.into_iter().map(|o| Ranking::from_order(o).unwrap()).collect();
+        let float_weights: Vec<f64> = weights.iter().map(|&w| w as f64).collect();
+        let agg = aggregate(&rankings, &float_weights, AggregationMethod::FootruleFlow).unwrap();
+
+        // Manual cost matrix (integer weights → exact).
+        let cost_of = |place: usize, pos: usize| -> i64 {
+            rankings
+                .iter()
+                .zip(&weights)
+                .map(|(r, &w)| w * r.position_of(PlaceId(place)).abs_diff(pos) as i64)
+                .sum()
+        };
+        let cost: Vec<Vec<i64>> = (0..n).map(|i| (0..n).map(|p| cost_of(i, p)).collect()).collect();
+        let manual = solve_assignment(&cost).unwrap();
+        let mut manual_order = vec![0; n];
+        for (place, &pos) in manual.assignment.iter().enumerate() {
+            manual_order[pos] = place;
+        }
+        assert_eq!(agg.order(), manual_order.as_slice());
+
+        // Every order, lexicographically; the first of minimum cost wins.
+        let mut best: Option<(i64, Vec<usize>)> = None;
+        for code in 0..n.pow(n as u32) {
+            let order: Vec<usize> = (0..n).map(|k| code / n.pow((n - 1 - k) as u32) % n).collect();
+            if (0..n).any(|p| !order.contains(&p)) {
+                continue;
+            }
+            let c: i64 = order.iter().enumerate().map(|(pos, &place)| cost_of(place, pos)).sum();
+            if best.as_ref().is_none_or(|(b, _)| c < *b) {
+                best = Some((c, order));
+            }
+        }
+        let (best_cost, best_order) = best.unwrap();
+        assert_eq!(manual.total_cost, best_cost);
+        assert_eq!(agg.order(), best_order.as_slice());
+    }
 }
 
 #[test]
