@@ -1,5 +1,7 @@
 //! Shared helpers for the experiment binaries.
 
+use std::sync::Arc;
+
 use sor_core::ranking::{FeatureId, FeatureMatrix, PlaceId};
 use sor_server::viz::FeaturePanel;
 
@@ -21,7 +23,7 @@ pub fn panels_of(matrix: &FeatureMatrix) -> Vec<FeaturePanel> {
 }
 
 /// Prints a paper-style ranking table.
-pub fn print_ranking_table(title: &str, rows: &[(String, Vec<String>)]) {
+pub fn print_ranking_table(title: &str, rows: &[(String, Arc<[String]>)]) {
     println!("{title}");
     println!("  {:<8} {:<20} {:<20} {:<20}", "User", "No. 1", "No. 2", "No. 3");
     for (user, order) in rows {

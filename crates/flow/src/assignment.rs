@@ -69,9 +69,18 @@ fn solve_with_duals(
     Ok((AssignmentSolution { assignment, total_cost }, u, v))
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Dijkstra steps taken by [`shortest_augmenting_paths`] on this
+    /// thread: one per settled column, the virtual one included.
+    static SETTLED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Inserts the rows one at a time, each along a shortest augmenting
-/// path under reduced costs. Returns `row_of[j]`, the row matched to
-/// column `j`, and the optimal duals `u`, `v`.
+/// path under reduced costs. Equal distances prefer a free column, so a
+/// row that has a tight free column is inserted in one step. Returns
+/// `row_of[j]`, the row matched to column `j`, and the optimal duals
+/// `u`, `v`.
 fn shortest_augmenting_paths(cost: &[Vec<i64>]) -> (Vec<usize>, Vec<i64>, Vec<i64>) {
     const FREE: usize = usize::MAX;
     let n = cost.len();
@@ -90,6 +99,8 @@ fn shortest_augmenting_paths(cost: &[Vec<i64>]) -> (Vec<usize>, Vec<i64>, Vec<i6
         let mut j0 = n;
         // Dijkstra: settle the closest column until a free one is reached.
         loop {
+            #[cfg(test)]
+            SETTLED.with(|c| c.set(c.get() + 1));
             done[j0] = true;
             let i0 = row_of[j0];
             let mut delta = i64::MAX;
@@ -103,7 +114,12 @@ fn shortest_augmenting_paths(cost: &[Vec<i64>]) -> (Vec<usize>, Vec<i64>, Vec<i6
                     min_reduced[j] = reduced;
                     way[j] = j0;
                 }
-                if min_reduced[j] < delta {
+                // On a tie, a free column ends the search at once; a
+                // matched one would only lead on to another column at
+                // the same distance.
+                if min_reduced[j] < delta
+                    || (min_reduced[j] == delta && row_of[j] == FREE && row_of[j1] != FREE)
+                {
                     delta = min_reduced[j];
                     j1 = j;
                 }
@@ -389,9 +405,13 @@ mod tests {
 
     #[test]
     fn handles_large_uniform_matrix() {
-        let n = 50;
+        let n = 64;
+        SETTLED.with(|c| c.set(0));
         let sol = solve(&vec![vec![7i64; n]; n]).unwrap();
         assert_eq!(sol.total_cost, 7 * n as i64);
         assert_eq!(sol.assignment, (0..n).collect::<Vec<_>>());
+        // Every column is tight and the first free one is as close as
+        // any matched one, so each row is inserted in one step.
+        assert_eq!(SETTLED.with(|c| c.get()), n);
     }
 }

@@ -1,12 +1,18 @@
 //! Rank-result caching.
 //!
-//! A ranking is a pure function of (features table, category,
-//! preference profile): between Data Processor passes the features
-//! table does not change, so repeated `rank` calls with the same
-//! profile can be answered from memory in O(1). The server tracks a
-//! *features epoch* — a counter bumped every processor pass — and every
-//! cache entry remembers the epoch it was computed at; an entry from an
-//! older epoch is stale and recomputed on next use.
+//! A ranking is a pure function of (features table, application
+//! registry, category, preference profile): the registry supplies the
+//! category's places, their names and the feature list. Between Data
+//! Processor passes and registrations neither changes, so repeated
+//! `rank` calls with the same profile can be answered from memory. The
+//! server tracks a *features epoch*, a counter bumped by every processor
+//! pass and every registration, and every cache entry remembers the
+//! epoch it was computed at; an entry from an older epoch is stale and
+//! recomputed on next use.
+//!
+//! A hit is O(1): [`CategoryRanking`] shares its matrix, outcome and
+//! place names behind `Arc`s, so the returned copy shares them with the
+//! entry and owns only its app-id order.
 //!
 //! Keys are a fingerprint over the category and the preference
 //! *payload* (target kind, target bits, weight bits). The profile's
@@ -158,25 +164,17 @@ mod tests {
         let p = prefs(70.0, 3);
         let key = RankCache::fingerprint("cafe", &p);
         // A fabricated ranking is fine for cache plumbing tests.
+        let matrix = sor_core::ranking::FeatureMatrix::new(
+            vec!["a".into()],
+            vec![sor_core::ranking::Feature::new("t", "")],
+            vec![vec![1.0]],
+        )
+        .unwrap();
+        let outcome = sor_core::ranking::PersonalizableRanker::new().rank(&matrix, &p).unwrap();
         let ranking = CategoryRanking {
-            matrix: sor_core::ranking::FeatureMatrix::new(
-                vec!["a".into()],
-                vec![sor_core::ranking::Feature::new("t", "")],
-                vec![vec![1.0]],
-            )
-            .unwrap(),
-            outcome: sor_core::ranking::PersonalizableRanker::new()
-                .rank(
-                    &sor_core::ranking::FeatureMatrix::new(
-                        vec!["a".into()],
-                        vec![sor_core::ranking::Feature::new("t", "")],
-                        vec![vec![1.0]],
-                    )
-                    .unwrap(),
-                    &p,
-                )
-                .unwrap(),
-            order: vec!["a".into()],
+            matrix: matrix.into(),
+            outcome: outcome.into(),
+            order: ["a".to_string()].into(),
             app_order: vec![1],
         };
         cache.store(key, 3, "cafe", &p, ranking);

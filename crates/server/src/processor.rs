@@ -92,10 +92,10 @@ impl DataProcessor {
                 .column("feature", ColumnType::Text)
                 .column("value", ColumnType::Float),
         )?;
-        // assemble_matrix reads features per app (one query per app ×
-        // feature); without this index every read is a full-table scan.
-        // Snapshot v2 persists index definitions, so the index survives
-        // crash recovery like the records one.
+        // Every feature upsert deletes by (app_id, feature), and
+        // feature_value reads by it; without this index each is a
+        // full-table scan. Snapshot v2 persists index definitions, so the
+        // index survives crash recovery like the records one.
         db.create_index(FEATURES_TABLE, "app_id")?;
         Ok(())
     }

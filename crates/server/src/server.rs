@@ -49,7 +49,8 @@ pub struct SensingServer {
     recorder: Recorder,
     /// Cached rankings, valid for one features epoch.
     rank_cache: RankCache,
-    /// Bumped by every Data Processor pass; invalidates `rank_cache`.
+    /// Bumped by every Data Processor pass and every registration;
+    /// invalidates `rank_cache`.
     features_epoch: u64,
     /// Seconds after a task's first planned sense time within which its
     /// first upload must arrive to count as an on-time ack (SLO
@@ -262,7 +263,10 @@ impl SensingServer {
     /// Registers an application and builds its scheduler. An
     /// application that already has saved scheduler state (a recovered
     /// server, or a live re-registration) gets it back exactly, with no
-    /// replan, so it keeps planning as if nothing had happened.
+    /// replan, so it keeps planning as if nothing had happened. It also
+    /// advances the features epoch: a ranking reads the registry (place
+    /// names, category membership, feature list), so no cached ranking
+    /// outlives a registration.
     ///
     /// # Errors
     ///
@@ -275,6 +279,7 @@ impl SensingServer {
         // running state from the stored records.
         self.feature_state.forget(spec.app_id);
         self.apps.register(spec);
+        self.features_epoch += 1;
         Ok(())
     }
 
@@ -697,9 +702,11 @@ impl SensingServer {
     }
 
     /// Ranks the places of one category for one user (§IV). Answers
-    /// from the [`RankCache`] when the features table has not changed
-    /// since the same (category, preferences) request was last computed
-    /// — O(1) instead of a full matrix assembly + Algorithm 2 run.
+    /// from the [`RankCache`] when neither the features table nor the
+    /// registry has changed since the same (category, preferences)
+    /// request was last computed: O(1), since the answer shares the
+    /// cached matrix, outcome and place names, instead of a full matrix
+    /// assembly + Algorithm 2 run.
     ///
     /// # Errors
     ///
@@ -813,8 +820,9 @@ impl SensingServer {
         out
     }
 
-    /// The current features epoch (bumped by every processor pass) —
-    /// exposed for cache-invalidation tests and reports.
+    /// The current features epoch (bumped by every processor pass and
+    /// every registration) — exposed for cache-invalidation tests and
+    /// reports.
     pub fn features_epoch(&self) -> u64 {
         self.features_epoch
     }
@@ -909,6 +917,8 @@ fn message_token(msg: &Message, participation: &ParticipationManager) -> Option<
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::feature::{Extractor, FeatureSpec};
     use sor_proto::SensedRecord;
@@ -1439,7 +1449,50 @@ mod tests {
         let third = s.rank("coffee-shop", &prefs).unwrap();
         assert_eq!(rec.counter("server.rank_cache_misses"), 2, "stale entry must recompute");
         // Cold cafe's mean is now (64+86)/2 = 75 — a perfect match.
-        assert_eq!(third.order, vec!["cold cafe", "warm cafe"]);
+        assert_eq!(*third.order, ["cold cafe", "warm cafe"]);
+    }
+
+    #[test]
+    fn rank_hits_share_the_cached_ranking() {
+        let mut s = two_cafe_server();
+        let rec = Recorder::enabled();
+        s.set_recorder(rec.clone());
+        let prefs =
+            UserPreferences::new("warm-lover", vec![sor_core::ranking::Preference::value(75.0, 5)]);
+        s.rank("coffee-shop", &prefs).unwrap();
+        let hits = [
+            s.rank("coffee-shop", &prefs).unwrap(),
+            s.rank("coffee-shop", &prefs).unwrap(),
+            s.rank_many(&[("coffee-shop", &prefs)]).remove(0).unwrap(),
+        ];
+        assert_eq!(rec.counter("server.rank_cache_misses"), 1);
+        assert_eq!(rec.counter("server.rank_cache_hits"), 3);
+        let key = RankCache::fingerprint("coffee-shop", &prefs);
+        let entry = s.rank_cache().lookup(key, s.features_epoch(), "coffee-shop", &prefs).unwrap();
+        let fresh = rank_category(s.database(), s.applications(), "coffee-shop", &prefs).unwrap();
+        for hit in &hits {
+            assert!(Arc::ptr_eq(&hit.matrix, &entry.matrix), "a hit must not copy the matrix");
+            assert!(Arc::ptr_eq(&hit.outcome, &entry.outcome), "a hit must not copy the outcome");
+            assert!(Arc::ptr_eq(&hit.order, &entry.order), "a hit must not copy the names");
+            assert_eq!(*hit.matrix, *fresh.matrix);
+            assert_eq!(*hit.outcome, *fresh.outcome);
+            assert_eq!(hit.order, fresh.order);
+            assert_eq!(hit.app_order, fresh.app_order);
+        }
+    }
+
+    #[test]
+    fn registration_invalidates_cached_rankings() {
+        let mut s = two_cafe_server();
+        let prefs =
+            UserPreferences::new("warm-lover", vec![sor_core::ranking::Preference::value(75.0, 5)]);
+        assert_eq!(*s.rank("coffee-shop", &prefs).unwrap().order, ["warm cafe", "cold cafe"]);
+        let epoch = s.features_epoch();
+        s.register_application(cafe_app(2, "hot cafe")).unwrap();
+        assert!(s.features_epoch() > epoch, "registration must bump the epoch");
+        let fresh = rank_category(s.database(), s.applications(), "coffee-shop", &prefs).unwrap();
+        assert_eq!(*fresh.order, ["hot cafe", "cold cafe"]);
+        assert_eq!(s.rank("coffee-shop", &prefs).unwrap().order, fresh.order);
     }
 
     #[test]
@@ -1485,8 +1538,8 @@ mod tests {
         .map(|(category, ok)| (category.to_string(), ok.to_string()));
         assert_eq!(per_request, expect);
         assert_eq!(batch.len(), 4);
-        assert_eq!(batch[0].as_ref().unwrap().order, vec!["warm cafe", "cold cafe"]);
-        assert_eq!(batch[1].as_ref().unwrap().order, vec!["cold cafe", "warm cafe"]);
+        assert_eq!(*batch[0].as_ref().unwrap().order, ["warm cafe", "cold cafe"]);
+        assert_eq!(*batch[1].as_ref().unwrap().order, ["cold cafe", "warm cafe"]);
         assert!(batch[2].is_err(), "errors surface in their slot");
         assert_eq!(batch[3].as_ref().unwrap().order, batch[0].as_ref().unwrap().order);
         // Against the one-at-a-time path.
@@ -1522,6 +1575,6 @@ mod tests {
         let prefs =
             UserPreferences::new("warm-lover", vec![sor_core::ranking::Preference::value(75.0, 5)]);
         let ranking = s.rank("coffee-shop", &prefs).unwrap();
-        assert_eq!(ranking.order, vec!["warm cafe", "cold cafe"]);
+        assert_eq!(*ranking.order, ["warm cafe", "cold cafe"]);
     }
 }

@@ -4,6 +4,8 @@
 //! metrics exports, identical final rankings, and identical untraced
 //! outcomes (feature matrix, transport stats, energy ledger).
 
+use std::sync::Arc;
+
 use sor_obs::Recorder;
 use sor_sim::scenario::{
     profiles, run_coffee_field_test, run_coffee_field_test_traced, FieldTestConfig,
@@ -12,7 +14,7 @@ use sor_sim::scenario::{
 /// One fully traced field test + rank at a fixed worker count, returning
 /// every deterministic artefact: trace JSON, metrics JSON, and the final
 /// ranking order for two §V-B profiles.
-fn traced_run(threads: usize) -> (String, String, Vec<String>, Vec<String>) {
+fn traced_run(threads: usize) -> (String, String, Arc<[String]>, Arc<[String]>) {
     sor_par::with_threads(threads, || {
         let rec = Recorder::enabled();
         let outcome = run_coffee_field_test_traced(FieldTestConfig::quick(7), rec.clone()).unwrap();

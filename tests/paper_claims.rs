@@ -24,11 +24,9 @@ fn table_one_hiking_trail_rankings() {
     for (prefs, expected) in cases {
         let ranking = out.server.rank("hiking-trail", &prefs).unwrap();
         assert_eq!(
-            ranking.order,
-            expected.to_vec(),
+            *ranking.order, expected,
             "Table I mismatch for {} (gamma: {:?})",
-            prefs.name,
-            ranking.outcome.gamma
+            prefs.name, ranking.outcome.gamma
         );
     }
 }
@@ -43,11 +41,9 @@ fn table_two_coffee_shop_rankings() {
     for (prefs, expected) in cases {
         let ranking = out.server.rank("coffee-shop", &prefs).unwrap();
         assert_eq!(
-            ranking.order,
-            expected.to_vec(),
+            *ranking.order, expected,
             "Table II mismatch for {} (matrix: {:?})",
-            prefs.name,
-            ranking.matrix
+            prefs.name, ranking.matrix
         );
     }
 }
