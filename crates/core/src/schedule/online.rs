@@ -89,6 +89,9 @@ pub struct OnlineScheduler {
     executed: Vec<SenseAction>,
     /// Planned future actions (re-derived on every change).
     planned: Vec<SenseAction>,
+    /// The earliest instant time in `planned` (+∞ when it is empty):
+    /// until the clock reaches it, advancing moves nothing.
+    next_due: f64,
     now: f64,
     /// Greedy work accumulated across all reschedules this period.
     stats: GreedyStats,
@@ -129,6 +132,7 @@ impl OnlineScheduler {
             participants: Vec::new(),
             executed: Vec::new(),
             planned: Vec::new(),
+            next_due: f64::INFINITY,
             now: grid.start(),
             stats: GreedyStats::default(),
             decay: DecayCurve::Constant,
@@ -173,9 +177,19 @@ impl OnlineScheduler {
         }
         s.participants = participants;
         s.executed = executed;
-        s.planned = planned;
+        s.set_planned(planned);
         s.now = now;
         Ok(s)
+    }
+
+    /// Replaces the future plan and the earliest instant time in it.
+    fn set_planned(&mut self, planned: Vec<SenseAction>) {
+        let grid = self.grid;
+        self.next_due = planned
+            .iter()
+            .map(|a| grid.time_of(InstantId(a.instant)))
+            .fold(f64::INFINITY, f64::min);
+        self.planned = planned;
     }
 
     /// Applies a value-decay curve. Set this before the first arrival:
@@ -247,6 +261,7 @@ impl OnlineScheduler {
     /// instant time has passed into the executed prefix, in instant
     /// order. The prefix is then the same whether the clock got to `t`
     /// in one step or in many (see the module doc). Does not replan.
+    /// Costs O(1) while `t` is before the earliest planned instant.
     ///
     /// # Panics
     ///
@@ -254,12 +269,15 @@ impl OnlineScheduler {
     pub fn advance_to(&mut self, t: f64) {
         assert!(t >= self.now, "time went backwards: {} -> {t}", self.now);
         self.now = t;
+        if t < self.next_due {
+            return;
+        }
         let grid = self.grid;
         let (mut done, future): (Vec<_>, Vec<_>) =
             self.planned.drain(..).partition(|a| grid.time_of(InstantId(a.instant)) <= t);
         done.sort_by_key(|a| a.instant);
         self.executed.extend(done);
-        self.planned = future;
+        self.set_planned(future);
     }
 
     /// A user scans the barcode at time `t`, announcing departure time
@@ -408,10 +426,11 @@ impl OnlineScheduler {
         // is a durable upper bound for every future replan.
         let mut work = GreedyStats { replans: 1, ..GreedyStats::default() };
         let bounds = &mut self.bounds;
-        self.planned =
+        let planned =
             celf::run(heap, &mut state, &self.users_at, &mut remaining, &mut work, |i, gain| {
                 bounds[i] = Some(Bound { gain, seed_len });
             });
+        self.set_planned(planned);
         self.stats.absorb(work);
         work
     }

@@ -1,7 +1,8 @@
 //! The durable database wrapper and crash recovery.
 
 use sor_obs::Recorder;
-use sor_proto::frame::{decode_frame, encode_frame};
+use sor_proto::frame::{decode_frame, encode_frame_in_place};
+use sor_proto::varint::MAX_VARINT_LEN;
 use sor_proto::wire::{Reader, Writer};
 use sor_store::{ChangeLog, Database};
 
@@ -73,6 +74,9 @@ pub struct DurableDatabase {
     opts: DurableOptions,
     epoch: u64,
     ops_since_checkpoint: u64,
+    /// Size of the checkpoint blob last written or recovered (0 before
+    /// the first): the next checkpoint's buffer is sized from it.
+    checkpoint_len: usize,
     recorder: Recorder,
 }
 
@@ -94,6 +98,7 @@ impl DurableDatabase {
             opts: DurableOptions::default(),
             epoch: 0,
             ops_since_checkpoint: 0,
+            checkpoint_len: 0,
             recorder: Recorder::default(),
         }
     }
@@ -184,6 +189,7 @@ impl DurableDatabase {
             // Count the replayed log toward the next checkpoint so a
             // crash loop cannot grow the log without bound.
             ops_since_checkpoint: report.replayed_records as u64,
+            checkpoint_len: report.checkpoint_bytes,
             recorder,
         };
         Ok((this, report))
@@ -255,25 +261,51 @@ impl DurableDatabase {
         };
         // Anything captured but uncommitted is part of the snapshot.
         self.changelog.drain();
-        let snapshot = self.db.snapshot();
         let new_epoch = self.epoch + 1;
-        let mut w = Writer::new();
-        w.put_uvar(new_epoch);
-        w.put_bytes(&snapshot);
-        storage.write_atomic(CHECKPOINT_FILE, &encode_frame(w.as_slice()))?;
+        let (buf, start, snapshot_len) =
+            encode_checkpoint(&self.db, new_epoch, self.checkpoint_len);
+        storage.write_atomic(CHECKPOINT_FILE, &buf[start..])?;
         storage.remove(&wal_file(self.epoch))?;
+        self.checkpoint_len = buf.len() - start;
         self.epoch = new_epoch;
         self.ops_since_checkpoint = 0;
         self.recorder.count("durable.checkpoints_taken", 1);
-        self.recorder.gauge("durable.checkpoint_bytes", snapshot.len() as f64);
+        self.recorder.gauge("durable.checkpoint_bytes", snapshot_len as f64);
         Ok(())
     }
+}
+
+/// Room in front of the snapshot for the frame's length header, the
+/// epoch varint and the snapshot-length varint, each at its widest.
+const CHECKPOINT_ROOM: usize = 4 + 2 * MAX_VARINT_LEN;
+
+/// Encodes the checkpoint blob `[u32 len][uvar epoch][uvar snapshot
+/// len][snapshot][u32 CRC]` in one buffer: the snapshot is encoded
+/// behind [`CHECKPOINT_ROOM`] reserved bytes, the header is written
+/// right up against it, and the CRC is appended, so the snapshot is
+/// never copied on its way to the storage. `size_hint` is the previous
+/// blob's size; the buffer reserves a quarter more for growth. Returns
+/// the buffer, the offset the blob starts at, and the snapshot's length.
+fn encode_checkpoint(db: &Database, epoch: u64, size_hint: usize) -> (Vec<u8>, usize, usize) {
+    let mut w = Writer::with_capacity(CHECKPOINT_ROOM + size_hint + size_hint / 4);
+    w.put_raw(&[0; CHECKPOINT_ROOM]);
+    db.snapshot_into(&mut w);
+    let snapshot_len = w.len() - CHECKPOINT_ROOM;
+    let mut head = Writer::with_capacity(2 * MAX_VARINT_LEN);
+    head.put_uvar(epoch);
+    head.put_uvar(snapshot_len as u64);
+    let payload_start = CHECKPOINT_ROOM - head.len();
+    let mut buf = w.into_bytes();
+    buf[payload_start..CHECKPOINT_ROOM].copy_from_slice(head.as_slice());
+    let start = encode_frame_in_place(&mut buf, payload_start);
+    (buf, start, snapshot_len)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::storage::SimDisk;
+    use sor_proto::frame::encode_frame;
     use sor_store::{ColumnType, Predicate, Schema, Value};
 
     fn open_sim(disk: &SimDisk, opts: DurableOptions) -> (DurableDatabase, RecoveryReport) {
@@ -475,6 +507,75 @@ mod tests {
             }
             other => panic!("expected CorruptCheckpoint, got {:?}", other.map(|(_, r)| r)),
         }
+    }
+
+    /// The checkpoint blob framed the plain way: a payload of the epoch
+    /// and the length-prefixed snapshot, copied into a frame.
+    fn reference_checkpoint(db: &Database, epoch: u64) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_uvar(epoch);
+        w.put_bytes(&db.snapshot());
+        encode_frame(w.as_slice())
+    }
+
+    #[test]
+    fn checkpoint_blob_is_the_reference_framing() {
+        // Snapshots whose length varint takes 1 (no table), 2, 3 and 4
+        // bytes, at epochs whose varint takes 1, 1, 2 and 10 bytes.
+        for (blob_len, varint_len) in
+            [(None, 1), (Some(200), 2), (Some(20_000), 3), (Some(1 << 21), 4)]
+        {
+            let mut db = Database::new();
+            if let Some(n) = blob_len {
+                db.create_table(Schema::new("b").column("body", ColumnType::Bytes)).unwrap();
+                db.insert("b", vec![Value::Bytes(vec![7; n])]).unwrap();
+            }
+            let snapshot_len = db.snapshot().len();
+            let mut w = Writer::new();
+            w.put_uvar(snapshot_len as u64);
+            assert_eq!(w.len(), varint_len, "snapshot of {snapshot_len} bytes");
+            for epoch in [1, 127, 128, u64::MAX] {
+                let reference = reference_checkpoint(&db, epoch);
+                // No size hint (the first checkpoint), an exact one, and
+                // one far too large.
+                for hint in [0, reference.len(), 3 * reference.len()] {
+                    let (buf, start, len) = encode_checkpoint(&db, epoch, hint);
+                    assert!(buf[start..] == reference[..], "epoch {epoch}, hint {hint}");
+                    assert_eq!(len, snapshot_len);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn crash_after_a_one_buffer_checkpoint_recovers_the_same_database() {
+        let disk = SimDisk::new(43);
+        let (mut ddb, _) = open_sim(&disk, DurableOptions::default());
+        seed_rows(&mut ddb, 300);
+        ddb.checkpoint().unwrap();
+        // The second buffer is sized from the first checkpoint, the third
+        // from the recovered one.
+        for n in 300..420 {
+            ddb.db_mut().insert("t", vec![Value::Int(n)]).unwrap();
+            ddb.commit().unwrap();
+        }
+        ddb.checkpoint().unwrap();
+        let blob = disk.clone().read(CHECKPOINT_FILE).unwrap().unwrap();
+        assert_eq!(blob, reference_checkpoint(ddb.db(), 2));
+        let before = ddb.db().snapshot();
+        drop(ddb);
+        disk.crash();
+        let (mut ddb, report) = open_sim(&disk, DurableOptions::default());
+        assert_eq!((report.epoch, report.replayed_records), (2, 0));
+        assert_eq!(ddb.db().snapshot(), before, "recovered bit for bit");
+        ddb.db_mut().delete_where("t", &Predicate::eq("n", Value::Int(7))).unwrap();
+        ddb.checkpoint().unwrap();
+        let before = ddb.db().snapshot();
+        drop(ddb);
+        disk.crash();
+        let (ddb, report) = open_sim(&disk, DurableOptions::default());
+        assert_eq!((report.epoch, report.replayed_records), (3, 0));
+        assert_eq!(ddb.db().snapshot(), before, "recovered bit for bit");
     }
 
     #[test]

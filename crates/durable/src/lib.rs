@@ -13,8 +13,9 @@
 //!   [`sor_proto::frame`] — to an append-only log *before* the commit
 //!   is acknowledged ([`db`]);
 //! - checkpoints serialise the whole database with
-//!   [`sor_store::Database::snapshot`], atomically replace the previous
-//!   checkpoint, and retire the log ([`wal`]);
+//!   [`sor_store::Database::snapshot_into`] straight into the framed
+//!   blob, atomically replace the previous checkpoint, and retire the
+//!   log ([`wal`]);
 //! - recovery restores the latest valid checkpoint and replays the
 //!   valid log suffix, stopping cleanly at the first torn or corrupt
 //!   record and truncating it ([`db::DurableDatabase::open`]).

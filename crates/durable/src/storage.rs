@@ -290,6 +290,9 @@ impl Storage for SimDisk {
     fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), DurableError> {
         let mut inner = self.inner.lock().expect("simdisk poisoned");
         let file = inner.files.entry(name.to_string()).or_default();
+        // Drop the blob being replaced before copying in the new one:
+        // nothing observes the disk mid-call, so it never holds both.
+        drop(std::mem::take(&mut file.durable));
         file.durable = bytes.to_vec();
         file.pending.clear();
         Ok(())

@@ -72,6 +72,27 @@ pub fn encode_frame_into(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&crc32(payload).to_le_bytes());
 }
 
+/// Frames in place the payload that fills `buf[payload_start..]`: writes
+/// its length header into the four bytes before it and appends its CRC
+/// trailer. A caller that encodes a large payload behind reserved room
+/// (a whole-database checkpoint) frames it without a copy. Returns the
+/// offset the frame starts at, `payload_start - 4`; the bytes before it
+/// are left as they were. The frame equals [`encode_frame`] of the
+/// payload byte for byte.
+///
+/// # Panics
+///
+/// If `payload_start` is below 4 or past the end of `buf`, or if the
+/// payload is longer than a `u32` length header can state.
+pub fn encode_frame_in_place(buf: &mut Vec<u8>, payload_start: usize) -> usize {
+    let start = payload_start.checked_sub(4).expect("room for the length header");
+    let len = u32::try_from(buf.len() - payload_start).expect("payload fits a u32 length");
+    buf[start..payload_start].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&buf[payload_start..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
+    start
+}
+
 /// Decodes the frame at the start of `buf`.
 ///
 /// Returns the payload and the total bytes the frame occupied, so a
@@ -148,6 +169,18 @@ mod tests {
         assert_eq!(payload, b"hello");
         assert_eq!(consumed, framed.len());
         assert_eq!(consumed, 5 + FRAME_OVERHEAD);
+    }
+
+    #[test]
+    fn in_place_frame_equals_encode_frame() {
+        for payload in [b"".as_slice(), b"x", b"wal record"] {
+            let mut buf = vec![0xee; 6];
+            buf.extend_from_slice(payload);
+            let start = encode_frame_in_place(&mut buf, 6);
+            assert_eq!(start, 2);
+            assert_eq!(buf[..2], [0xee, 0xee], "bytes before the frame are left alone");
+            assert_eq!(buf[start..], encode_frame(payload));
+        }
     }
 
     #[test]

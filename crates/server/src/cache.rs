@@ -6,9 +6,9 @@
 //! Processor passes and registrations neither changes, so repeated
 //! `rank` calls with the same profile can be answered from memory. The
 //! server tracks a *features epoch*, a counter bumped by every processor
-//! pass and every registration, and every cache entry remembers the
-//! epoch it was computed at; an entry from an older epoch is stale and
-//! recomputed on next use.
+//! pass and every registration, and clears the cache at every bump: the
+//! cache only ever holds rankings of the current epoch, so its size is
+//! bounded by the distinct requests served since the last bump.
 //!
 //! A hit is O(1): [`CategoryRanking`] shares its matrix, outcome and
 //! place names behind `Arc`s, so the returned copy shares them with the
@@ -31,14 +31,13 @@ use crate::ranker::CategoryRanking;
 
 /// One cached ranking with everything needed to validate a hit.
 struct CacheEntry {
-    epoch: u64,
     category: String,
     prefs: UserPreferences,
     ranking: CategoryRanking,
 }
 
-/// An epoch-validated cache of [`CategoryRanking`]s, safe to use from
-/// `&self` contexts (the server's `rank` is a read) and from the
+/// A cache of [`CategoryRanking`]s for one features epoch, safe to use
+/// from `&self` contexts (the server's `rank` is a read) and from the
 /// parallel `rank_many` fan-out.
 #[derive(Default)]
 pub struct RankCache {
@@ -76,38 +75,42 @@ impl RankCache {
         h
     }
 
-    /// Returns the cached ranking for `key` if it was computed at
-    /// `epoch` for exactly this category and preference payload.
+    /// Returns the cached ranking for `key` if it was computed for
+    /// exactly this category and preference payload.
     pub fn lookup(
         &self,
         key: u64,
-        epoch: u64,
         category: &str,
         prefs: &UserPreferences,
     ) -> Option<CategoryRanking> {
         let entries = self.entries.lock();
         let e = entries.get(&key)?;
-        if e.epoch == epoch && e.category == category && e.prefs.preferences == prefs.preferences {
+        if e.category == category && e.prefs.preferences == prefs.preferences {
             Some(e.ranking.clone())
         } else {
             None
         }
     }
 
-    /// Stores a freshly computed ranking, replacing any stale or
-    /// colliding entry under the same key.
+    /// Stores a freshly computed ranking, replacing any colliding entry
+    /// under the same key.
     pub fn store(
         &self,
         key: u64,
-        epoch: u64,
         category: &str,
         prefs: &UserPreferences,
         ranking: CategoryRanking,
     ) {
         self.entries.lock().insert(
             key,
-            CacheEntry { epoch, category: category.to_string(), prefs: prefs.clone(), ranking },
+            CacheEntry { category: category.to_string(), prefs: prefs.clone(), ranking },
         );
+    }
+
+    /// Drops every entry: the features epoch moved on, so none of them
+    /// is current any more.
+    pub fn clear(&self) {
+        self.entries.lock().clear();
     }
 
     /// Number of live entries (tests, reports).
@@ -177,10 +180,12 @@ mod tests {
             order: ["a".to_string()].into(),
             app_order: vec![1],
         };
-        cache.store(key, 3, "cafe", &p, ranking);
-        assert!(cache.lookup(key, 3, "cafe", &p).is_some());
-        assert!(cache.lookup(key, 4, "cafe", &p).is_none(), "newer epoch must miss");
-        assert!(cache.lookup(key, 2, "cafe", &p).is_none(), "older epoch must miss");
-        assert!(cache.lookup(key, 3, "museum", &p).is_none(), "category checked on hit");
+        cache.store(key, "cafe", &p, ranking);
+        assert!(cache.lookup(key, "cafe", &p).is_some());
+        assert!(cache.lookup(key, "museum", &p).is_none(), "category checked on hit");
+        // An epoch bump clears the cache: the old epoch's entry misses.
+        cache.clear();
+        assert!(cache.is_empty());
+        assert!(cache.lookup(key, "cafe", &p).is_none(), "a cleared entry must miss");
     }
 }

@@ -47,10 +47,10 @@ pub struct SensingServer {
     last_contact: BTreeMap<u64, f64>,
     now: f64,
     recorder: Recorder,
-    /// Cached rankings, valid for one features epoch.
+    /// Cached rankings of the current features epoch.
     rank_cache: RankCache,
-    /// Bumped by every Data Processor pass and every registration;
-    /// invalidates `rank_cache`.
+    /// Bumped by every Data Processor pass and every registration,
+    /// which clears `rank_cache` (see [`Self::next_features_epoch`]).
     features_epoch: u64,
     /// Seconds after a task's first planned sense time within which its
     /// first upload must arrive to count as an on-time ack (SLO
@@ -279,8 +279,15 @@ impl SensingServer {
         // running state from the stored records.
         self.feature_state.forget(spec.app_id);
         self.apps.register(spec);
-        self.features_epoch += 1;
+        self.next_features_epoch();
         Ok(())
+    }
+
+    /// Advances the features epoch and drops every cached ranking,
+    /// which all belong to the epoch just ended.
+    fn next_features_epoch(&mut self) {
+        self.features_epoch += 1;
+        self.rank_cache.clear();
     }
 
     /// Advances the server clock: departure sweep plus scheduler time.
@@ -680,9 +687,9 @@ impl SensingServer {
             }
         }
         self.recorder.span_end(features, self.now);
-        // The features table (potentially) changed: advance the epoch
-        // so every cached ranking from before this pass goes stale.
-        self.features_epoch += 1;
+        // The features table (potentially) changed: no cached ranking
+        // from before this pass is current.
+        self.next_features_epoch();
         // Decoded records and features are derived data, but committing
         // them means recovery does not have to re-run the processor.
         self.db.commit()?;
@@ -720,7 +727,7 @@ impl SensingServer {
         self.recorder.span_attr(span, "category", category);
         self.recorder.count("server.rank_requests", 1);
         let key = RankCache::fingerprint(category, prefs);
-        let result = match self.rank_cache.lookup(key, self.features_epoch, category, prefs) {
+        let result = match self.rank_cache.lookup(key, category, prefs) {
             Some(cached) => {
                 self.recorder.count("server.rank_cache_hits", 1);
                 Ok(cached)
@@ -729,13 +736,7 @@ impl SensingServer {
                 self.recorder.count("server.rank_cache_misses", 1);
                 let fresh = rank_category(self.db.db(), &self.apps, category, prefs);
                 if let Ok(ranking) = &fresh {
-                    self.rank_cache.store(
-                        key,
-                        self.features_epoch,
-                        category,
-                        prefs,
-                        ranking.clone(),
-                    );
+                    self.rank_cache.store(key, category, prefs, ranking.clone());
                 }
                 fresh
             }
@@ -763,14 +764,13 @@ impl SensingServer {
         let span = self.pipeline_span("server.rank_many");
         self.recorder.span_attr_with(span, "requests", || requests.len().to_string());
         self.recorder.count("server.rank_requests", requests.len() as u64);
-        let epoch = self.features_epoch;
         let mut results: Vec<Option<Result<CategoryRanking, ServerError>>> =
             (0..requests.len()).map(|_| None).collect();
         let mut misses: Vec<usize> = Vec::new();
         let mut hits = 0u64;
         for (k, (category, prefs)) in requests.iter().enumerate() {
             let key = RankCache::fingerprint(category, prefs);
-            match self.rank_cache.lookup(key, epoch, category, prefs) {
+            match self.rank_cache.lookup(key, category, prefs) {
                 Some(cached) => {
                     hits += 1;
                     results[k] = Some(Ok(cached));
@@ -807,7 +807,7 @@ impl SensingServer {
             if let Ok(ranking) = &res {
                 let (category, prefs) = &requests[k];
                 let key = RankCache::fingerprint(category, prefs);
-                self.rank_cache.store(key, epoch, category, prefs, ranking.clone());
+                self.rank_cache.store(key, category, prefs, ranking.clone());
             }
             results[k] = Some(res);
         }
@@ -1468,7 +1468,7 @@ mod tests {
         assert_eq!(rec.counter("server.rank_cache_misses"), 1);
         assert_eq!(rec.counter("server.rank_cache_hits"), 3);
         let key = RankCache::fingerprint("coffee-shop", &prefs);
-        let entry = s.rank_cache().lookup(key, s.features_epoch(), "coffee-shop", &prefs).unwrap();
+        let entry = s.rank_cache().lookup(key, "coffee-shop", &prefs).unwrap();
         let fresh = rank_category(s.database(), s.applications(), "coffee-shop", &prefs).unwrap();
         for hit in &hits {
             assert!(Arc::ptr_eq(&hit.matrix, &entry.matrix), "a hit must not copy the matrix");
@@ -1479,6 +1479,24 @@ mod tests {
             assert_eq!(hit.order, fresh.order);
             assert_eq!(hit.app_order, fresh.app_order);
         }
+    }
+
+    #[test]
+    fn rank_cache_keeps_only_the_current_epoch() {
+        let mut s = two_cafe_server();
+        for target in [60.0, 70.0, 80.0] {
+            let prefs =
+                UserPreferences::new("u", vec![sor_core::ranking::Preference::value(target, 5)]);
+            s.rank("coffee-shop", &prefs).unwrap();
+        }
+        assert_eq!(s.rank_cache().len(), 3);
+        s.process_data().unwrap();
+        assert!(s.rank_cache().is_empty(), "a processor pass ends the epoch");
+        let prefs = UserPreferences::new("u", vec![sor_core::ranking::Preference::value(70.0, 5)]);
+        s.rank("coffee-shop", &prefs).unwrap();
+        assert_eq!(s.rank_cache().len(), 1, "only the current epoch's ranking is kept");
+        s.register_application(cafe_app(2, "hot cafe")).unwrap();
+        assert!(s.rank_cache().is_empty(), "a registration ends the epoch");
     }
 
     #[test]

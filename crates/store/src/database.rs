@@ -205,6 +205,16 @@ impl Database {
     /// exact inverse: indexes are rebuilt, ids preserved.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = Writer::new();
+        self.snapshot_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// Appends [`Database::snapshot`]'s bytes to `w`, after whatever it
+    /// already holds; the CRC trailer covers only the snapshot. The
+    /// durability layer encodes a checkpoint this way, straight into
+    /// the buffer it frames and writes.
+    pub fn snapshot_into(&self, w: &mut Writer) {
+        let start = w.len();
         w.put_raw(b"SORD");
         w.put_u8(SNAPSHOT_VERSION);
         w.put_uvar(self.tables.len() as u64);
@@ -227,13 +237,12 @@ impl Database {
             for (id, values) in table.iter() {
                 w.put_uvar(id.0);
                 for v in values {
-                    v.encode_into(&mut w);
+                    v.encode_into(w);
                 }
             }
         }
-        let crc = crc32(w.as_slice());
+        let crc = crc32(&w.as_slice()[start..]);
         w.put_u32(crc);
-        w.into_bytes()
     }
 
     /// Restores a database from a snapshot.
@@ -530,6 +539,16 @@ mod tests {
         assert_eq!(db.snapshot(), GOLDEN_SNAPSHOT);
         let back = Database::restore(GOLDEN_SNAPSHOT).unwrap();
         assert_eq!(back.snapshot(), GOLDEN_SNAPSHOT);
+    }
+
+    #[test]
+    fn snapshot_into_appends_the_snapshot_bytes() {
+        let db = golden_db();
+        let mut w = Writer::new();
+        w.put_raw(b"head");
+        db.snapshot_into(&mut w);
+        assert_eq!(&w.as_slice()[..4], b"head");
+        assert_eq!(&w.as_slice()[4..], GOLDEN_SNAPSHOT);
     }
 
     #[test]
