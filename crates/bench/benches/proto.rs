@@ -23,24 +23,53 @@ fn upload(records: usize, values: usize) -> Message {
     }
 }
 
+/// One trail upload as `TRAIL_SCRIPT` produces it: temperature and
+/// humidity (3 readings each), accelerometer (40 × 3 axes) and GPS
+/// (10 × 3), a 1,333-byte frame.
+fn trail_upload() -> Message {
+    Message::SensedDataUpload {
+        task_id: 42,
+        records: [(1u16, 3usize), (2, 3), (3, 120), (4, 30)]
+            .into_iter()
+            .map(|(sensor, values)| SensedRecord {
+                timestamp: 1000.0 + f64::from(sensor),
+                window: 3.0,
+                sensor,
+                values: (0..values).map(|v| v as f64 * 0.25 + 20.0).collect(),
+            })
+            .collect(),
+    }
+}
+
+/// The upload shapes both groups measure, each with its record count.
+fn uploads() -> Vec<(String, usize, Message)> {
+    let mut shapes: Vec<(String, usize, Message)> = [(1usize, 5usize), (10, 10), (100, 40)]
+        .into_iter()
+        .map(|(records, values)| ("upload".to_string(), records, upload(records, values)))
+        .collect();
+    shapes.push(("trail".to_string(), 4, trail_upload()));
+    shapes
+}
+
 fn bench_encode(c: &mut Criterion) {
     let mut g = c.benchmark_group("proto/encode");
-    for (records, values) in [(1usize, 5usize), (10, 10), (100, 40)] {
-        let msg = upload(records, values);
+    for (shape, records, msg) in uploads() {
         let size = msg.encode().len();
-        g.bench_with_input(BenchmarkId::new(format!("upload_{size}B"), records), &msg, |b, msg| {
-            b.iter(|| black_box(msg.encode()))
-        });
+        g.bench_with_input(
+            BenchmarkId::new(format!("{shape}_{size}B"), records),
+            &msg,
+            |b, msg| b.iter(|| black_box(msg.encode())),
+        );
     }
     g.finish();
 }
 
 fn bench_decode(c: &mut Criterion) {
     let mut g = c.benchmark_group("proto/decode");
-    for (records, values) in [(1usize, 5usize), (10, 10), (100, 40)] {
-        let frame = upload(records, values).encode();
+    for (shape, records, msg) in uploads() {
+        let frame = msg.encode();
         g.bench_with_input(
-            BenchmarkId::new(format!("upload_{}B", frame.len()), records),
+            BenchmarkId::new(format!("{shape}_{}B", frame.len()), records),
             &frame,
             |b, frame| b.iter(|| black_box(Message::decode(frame).unwrap())),
         );

@@ -7,7 +7,7 @@ use sor_proto::wire::{Reader, Writer};
 use sor_store::{ChangeLog, Database};
 
 use crate::storage::Storage;
-use crate::wal::{encode_batch, replay_into, wal_file, TailState, CHECKPOINT_FILE};
+use crate::wal::{replay_into, wal_file, TailState, CHECKPOINT_FILE};
 use crate::DurableError;
 
 /// Tuning knobs for the durability layer.
@@ -73,6 +73,8 @@ pub struct DurableDatabase {
     storage: Option<Box<dyn Storage>>,
     opts: DurableOptions,
     epoch: u64,
+    /// The current epoch's log blob, [`wal_file`] of `epoch`.
+    wal_name: String,
     ops_since_checkpoint: u64,
     /// Size of the checkpoint blob last written or recovered (0 before
     /// the first): the next checkpoint's buffer is sized from it.
@@ -97,6 +99,7 @@ impl DurableDatabase {
             storage: None,
             opts: DurableOptions::default(),
             epoch: 0,
+            wal_name: wal_file(0),
             ops_since_checkpoint: 0,
             checkpoint_len: 0,
             recorder: Recorder::default(),
@@ -144,11 +147,12 @@ impl DurableDatabase {
                 None => (Database::new(), 0, false, 0),
             };
 
-        let log = storage.read(&wal_file(epoch))?.unwrap_or_default();
+        let wal_name = wal_file(epoch);
+        let log = storage.read(&wal_name)?.unwrap_or_default();
         let outcome = replay_into(&mut db, &log)?;
         let truncated = log.len() - outcome.valid_len;
         if truncated > 0 {
-            storage.truncate(&wal_file(epoch), outcome.valid_len as u64)?;
+            storage.truncate(&wal_name, outcome.valid_len as u64)?;
         }
         if epoch > 0 {
             // A crash between "write checkpoint" and "retire old log"
@@ -186,6 +190,7 @@ impl DurableDatabase {
             storage: Some(storage),
             opts,
             epoch,
+            wal_name,
             // Count the replayed log toward the next checkpoint so a
             // crash loop cannot grow the log without bound.
             ops_since_checkpoint: report.replayed_records as u64,
@@ -222,6 +227,9 @@ impl DurableDatabase {
     /// flushes it. Call after each atomic unit of server work, *before*
     /// acknowledging it. No-op when ephemeral.
     ///
+    /// The change log captures each op already framed, so the batch is
+    /// its buffer as it stands: one append and one flush, no encoding.
+    ///
     /// # Errors
     ///
     /// [`DurableError::Io`] from the backend.
@@ -229,18 +237,22 @@ impl DurableDatabase {
         let Some(storage) = &mut self.storage else {
             return Ok(());
         };
-        let ops = self.changelog.drain();
-        if ops.is_empty() {
+        let wal_name = &self.wal_name;
+        let (ops, bytes) = self.changelog.drain_with(|batch, ops| {
+            if ops > 0 {
+                storage.append(wal_name, batch)?;
+                storage.flush(wal_name)?;
+            }
+            Ok::<_, DurableError>((ops as u64, batch.len() as u64))
+        })?;
+        if ops == 0 {
             return Ok(());
         }
-        let batch = encode_batch(&ops);
-        storage.append(&wal_file(self.epoch), &batch)?;
-        storage.flush(&wal_file(self.epoch))?;
         self.recorder.count("durable.wal_flushes", 1);
         self.recorder.count("durable.commits_applied", 1);
-        self.recorder.count("durable.wal_appends", ops.len() as u64);
-        self.recorder.count("durable.wal_bytes", batch.len() as u64);
-        self.ops_since_checkpoint += ops.len() as u64;
+        self.recorder.count("durable.wal_appends", ops);
+        self.recorder.count("durable.wal_bytes", bytes);
+        self.ops_since_checkpoint += ops;
         if self.ops_since_checkpoint >= self.opts.checkpoint_every_ops {
             self.checkpoint()?;
         }
@@ -260,14 +272,15 @@ impl DurableDatabase {
             return Ok(());
         };
         // Anything captured but uncommitted is part of the snapshot.
-        self.changelog.drain();
+        self.changelog.clear();
         let new_epoch = self.epoch + 1;
         let (buf, start, snapshot_len) =
             encode_checkpoint(&self.db, new_epoch, self.checkpoint_len);
         storage.write_atomic(CHECKPOINT_FILE, &buf[start..])?;
-        storage.remove(&wal_file(self.epoch))?;
+        storage.remove(&self.wal_name)?;
         self.checkpoint_len = buf.len() - start;
         self.epoch = new_epoch;
+        self.wal_name = wal_file(new_epoch);
         self.ops_since_checkpoint = 0;
         self.recorder.count("durable.checkpoints_taken", 1);
         self.recorder.gauge("durable.checkpoint_bytes", snapshot_len as f64);
@@ -377,8 +390,8 @@ mod tests {
                 ddb.db_mut().insert("t", vec![Value::Int(n)]).unwrap();
             }
             // `commit` without its flush.
-            let batch = encode_batch(&ddb.changelog.drain());
-            disk.clone().append(&wal_file(ddb.epoch), &batch).unwrap();
+            let batch = ddb.changelog.drain_with(|batch, _| batch.to_vec());
+            disk.clone().append(&ddb.wal_name, &batch).unwrap();
             drop(ddb);
             disk.crash();
             let (ddb, report) = open_sim(&disk, DurableOptions::default());

@@ -274,15 +274,23 @@ impl Storage for SimDisk {
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), DurableError> {
         let mut inner = self.inner.lock().expect("simdisk poisoned");
-        inner.files.entry(name.to_string()).or_default().pending.extend_from_slice(bytes);
+        // The name is copied only when the blob is created.
+        match inner.files.get_mut(name) {
+            Some(file) => file.pending.extend_from_slice(bytes),
+            None => {
+                let file = SimFile { durable: Vec::new(), pending: bytes.to_vec() };
+                inner.files.insert(name.to_string(), file);
+            }
+        }
         Ok(())
     }
 
     fn flush(&mut self, name: &str) -> Result<(), DurableError> {
         let mut inner = self.inner.lock().expect("simdisk poisoned");
-        if let Some(file) = inner.files.get_mut(name) {
-            let pending = std::mem::take(&mut file.pending);
-            file.durable.extend_from_slice(&pending);
+        if let Some(SimFile { durable, pending }) = inner.files.get_mut(name) {
+            // `pending` keeps its capacity for the next append.
+            durable.extend_from_slice(pending);
+            pending.clear();
         }
         Ok(())
     }

@@ -56,7 +56,10 @@ pub struct ReplayOutcome {
     pub tail: TailState,
 }
 
-/// Serialises one commit's ops as a batch of framed records.
+/// Serialises one commit's ops as a batch of framed records: the bytes
+/// a commit appends for them. Commits append what the database's
+/// [`ChangeLog`](sor_store::ChangeLog) captured, already framed; this
+/// is the reference encoding tests compare it with.
 pub fn encode_batch(ops: &[LogOp]) -> Vec<u8> {
     let mut out = Vec::new();
     for op in ops {
@@ -105,6 +108,7 @@ pub fn replay_into(db: &mut Database, log: &[u8]) -> Result<ReplayOutcome, Durab
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sor_proto::frame::FrameScanner;
     use sor_store::{ChangeLog, ColumnType, Predicate, Schema, Value};
 
     fn scripted_ops() -> (Database, Vec<LogOp>) {
@@ -117,7 +121,15 @@ mod tests {
             db.insert("t", vec![Value::Int(i)]).unwrap();
         }
         db.delete_where("t", &Predicate::eq("n", Value::Int(3))).unwrap();
-        (db, log.drain())
+        let ops = log.drain_with(|records, _| {
+            let mut scanner = FrameScanner::new(records);
+            let mut ops = Vec::new();
+            while let Some(payload) = scanner.next_frame() {
+                ops.push(LogOp::decode(payload.unwrap()).unwrap());
+            }
+            ops
+        });
+        (db, ops)
     }
 
     #[test]

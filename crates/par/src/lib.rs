@@ -2,9 +2,9 @@
 //!
 //! The ROADMAP north-star is a server that survives "heavy traffic from
 //! millions of users … as fast as the hardware allows". This crate
-//! supplies the execution layer for the hot paths that fan out (inbox
-//! decode, batched ranking, ranker columns, the lazy-greedy first
-//! round) with two hard constraints:
+//! supplies the execution layer for the hot paths that fan out (batched
+//! ranking, ranker columns, the lazy-greedy first round) with two hard
+//! constraints:
 //!
 //! 1. **No unsafe.** Everything is built on [`std::thread::scope`],
 //!    atomics, and the vendored `parking_lot` mutex.

@@ -25,6 +25,7 @@
 //! before it: magic, type, optional context, length and payload.
 
 use crate::checksum::crc32;
+use crate::varint;
 use crate::wire::{Reader, Writer};
 use crate::ProtoError;
 
@@ -167,9 +168,61 @@ impl Message {
 
     /// Encodes the message, optionally splicing a [`TraceContext`] into
     /// the frame. `encode_traced(None)` is byte-identical to
-    /// [`Message::encode`].
+    /// [`Message::encode`]. The payload is sized before anything is
+    /// written, so the frame is encoded once, into a buffer of exactly
+    /// its length.
     pub fn encode_traced(&self, ctx: Option<TraceContext>) -> Vec<u8> {
-        let mut payload = Writer::new();
+        let payload_len = self.payload_len();
+        let ctx_len =
+            ctx.map_or(0, |c| varint::encoded_len(c.trace_id) + varint::encoded_len(c.parent_span));
+        let frame_len =
+            MAGIC.len() + 1 + ctx_len + varint::encoded_len(payload_len as u64) + payload_len + 4;
+        let mut frame = Writer::with_capacity(frame_len);
+        frame.put_raw(&MAGIC);
+        match ctx {
+            Some(ctx) => {
+                frame.put_u8(self.type_byte() | TRACED_FLAG);
+                frame.put_uvar(ctx.trace_id);
+                frame.put_uvar(ctx.parent_span);
+            }
+            None => frame.put_u8(self.type_byte()),
+        }
+        frame.put_uvar(payload_len as u64);
+        self.encode_payload(&mut frame);
+        let crc = crc32(frame.as_slice());
+        frame.put_u32(crc);
+        debug_assert_eq!(frame.len(), frame_len, "payload_len disagrees with encode_payload");
+        frame.into_bytes()
+    }
+
+    /// Bytes [`Message::encode_payload`] writes.
+    fn payload_len(&self) -> usize {
+        let uvar = varint::encoded_len;
+        let f64_seq = |vs: &[f64]| uvar(vs.len() as u64) + 8 * vs.len();
+        match self {
+            Message::ParticipationRequest { token, app_id, budget, .. } => {
+                uvar(*token) + uvar(*app_id) + 8 + 8 + uvar(*budget as u64) + 8
+            }
+            Message::ScheduleAssignment { task_id, script, sense_times } => {
+                uvar(*task_id) + uvar(script.len() as u64) + script.len() + f64_seq(sense_times)
+            }
+            Message::SensedDataUpload { task_id, records } => {
+                let body: usize =
+                    records.iter().map(|r| 16 + uvar(r.sensor as u64) + f64_seq(&r.values)).sum();
+                uvar(*task_id) + uvar(records.len() as u64) + body
+            }
+            Message::PreferenceUpdate { token, permissions } => {
+                let body: usize = permissions.iter().map(|p| uvar(p.sensor as u64) + 1).sum();
+                uvar(*token) + uvar(permissions.len() as u64) + body
+            }
+            Message::WakeUp { token } => uvar(*token),
+            Message::Ping { token, uptime_ms } => uvar(*token) + uvar(*uptime_ms),
+            Message::TaskComplete { task_id, status } => uvar(*task_id) + uvar(*status as u64),
+        }
+    }
+
+    /// Writes the payload: the fields in declaration order.
+    fn encode_payload(&self, payload: &mut Writer) {
         match self {
             Message::ParticipationRequest {
                 token,
@@ -219,23 +272,6 @@ impl Message {
                 payload.put_uvar(*status as u64);
             }
         }
-        let payload = payload.into_bytes();
-
-        let mut frame = Writer::with_capacity(payload.len() + 16);
-        frame.put_raw(&MAGIC);
-        match ctx {
-            Some(ctx) => {
-                frame.put_u8(self.type_byte() | TRACED_FLAG);
-                frame.put_uvar(ctx.trace_id);
-                frame.put_uvar(ctx.parent_span);
-            }
-            None => frame.put_u8(self.type_byte()),
-        }
-        frame.put_uvar(payload.len() as u64);
-        frame.put_raw(&payload);
-        let crc = crc32(frame.as_slice());
-        frame.put_u32(crc);
-        frame.into_bytes()
     }
 
     /// Decodes a full frame, ignoring any embedded [`TraceContext`].
@@ -482,6 +518,142 @@ mod tests {
             assert_eq!(got, Some(ctx));
             // The context-oblivious decoder accepts the same frame.
             assert_eq!(Message::decode(&frame).unwrap(), msg);
+        }
+    }
+
+    /// The two-buffer encoder the exact-size one replaced: the payload
+    /// into a growing writer, then copied into the frame.
+    fn legacy_encode(msg: &Message, ctx: Option<TraceContext>) -> Vec<u8> {
+        let mut payload = Writer::new();
+        match msg {
+            Message::ParticipationRequest {
+                token,
+                app_id,
+                latitude,
+                longitude,
+                budget,
+                stay_seconds,
+            } => {
+                payload.put_uvar(*token);
+                payload.put_uvar(*app_id);
+                payload.put_f64(*latitude);
+                payload.put_f64(*longitude);
+                payload.put_uvar(*budget as u64);
+                payload.put_f64(*stay_seconds);
+            }
+            Message::ScheduleAssignment { task_id, script, sense_times } => {
+                payload.put_uvar(*task_id);
+                payload.put_str(script);
+                payload.put_f64_seq(sense_times);
+            }
+            Message::SensedDataUpload { task_id, records } => {
+                payload.put_uvar(*task_id);
+                payload.put_uvar(records.len() as u64);
+                for r in records {
+                    payload.put_f64(r.timestamp);
+                    payload.put_f64(r.window);
+                    payload.put_uvar(r.sensor as u64);
+                    payload.put_f64_seq(&r.values);
+                }
+            }
+            Message::PreferenceUpdate { token, permissions } => {
+                payload.put_uvar(*token);
+                payload.put_uvar(permissions.len() as u64);
+                for p in permissions {
+                    payload.put_uvar(p.sensor as u64);
+                    payload.put_u8(p.allowed as u8);
+                }
+            }
+            Message::WakeUp { token } => payload.put_uvar(*token),
+            Message::Ping { token, uptime_ms } => {
+                payload.put_uvar(*token);
+                payload.put_uvar(*uptime_ms);
+            }
+            Message::TaskComplete { task_id, status } => {
+                payload.put_uvar(*task_id);
+                payload.put_uvar(*status as u64);
+            }
+        }
+        let payload = payload.into_bytes();
+        let mut frame = Writer::with_capacity(payload.len() + 16);
+        frame.put_raw(&MAGIC);
+        match ctx {
+            Some(ctx) => {
+                frame.put_u8(msg.type_byte() | TRACED_FLAG);
+                frame.put_uvar(ctx.trace_id);
+                frame.put_uvar(ctx.parent_span);
+            }
+            None => frame.put_u8(msg.type_byte()),
+        }
+        frame.put_uvar(payload.len() as u64);
+        frame.put_raw(&payload);
+        let crc = crc32(frame.as_slice());
+        frame.put_u32(crc);
+        frame.into_bytes()
+    }
+
+    /// [`sample_messages`] plus shapes whose lengths cross varint
+    /// boundaries: a 3/3/120/30-reading trail upload, a script over 127
+    /// bytes, wide field values, and empty collections.
+    fn encoder_cases() -> Vec<Message> {
+        let trail_record = |i: usize, n: usize| SensedRecord {
+            timestamp: 1000.0 + i as f64,
+            window: 3.0,
+            sensor: [2, 3, 4, 9][i],
+            values: (0..n).map(|v| v as f64 * 0.125 - 7.0).collect(),
+        };
+        let mut cases = sample_messages();
+        cases.extend([
+            Message::SensedDataUpload {
+                task_id: 1 << 20,
+                records: [3, 3, 120, 30]
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, n)| trail_record(i, n))
+                    .collect(),
+            },
+            Message::ScheduleAssignment {
+                task_id: u64::MAX,
+                script: "x".repeat(300),
+                sense_times: (0..200).map(f64::from).collect(),
+            },
+            Message::ScheduleAssignment { task_id: 0, script: String::new(), sense_times: vec![] },
+            Message::ParticipationRequest {
+                token: u64::MAX,
+                app_id: 128,
+                latitude: f64::NAN,
+                longitude: -0.0,
+                budget: u32::MAX,
+                stay_seconds: f64::INFINITY,
+            },
+            Message::PreferenceUpdate {
+                token: 0,
+                permissions: (0..130)
+                    .map(|k| SensorPermission { sensor: k * 500, allowed: k % 2 == 0 })
+                    .collect(),
+            },
+            Message::PreferenceUpdate { token: 1, permissions: vec![] },
+            Message::WakeUp { token: u64::MAX },
+            Message::Ping { token: 0, uptime_ms: u64::MAX },
+            Message::TaskComplete { task_id: 300, status: u32::MAX },
+        ]);
+        cases
+    }
+
+    #[test]
+    fn exact_size_encoder_matches_the_two_buffer_encoder() {
+        let contexts = [
+            None,
+            Some(TraceContext::root(0)),
+            Some(TraceContext { trace_id: 300, parent_span: 9000 }),
+            Some(TraceContext { trace_id: u64::MAX, parent_span: u64::MAX }),
+        ];
+        for msg in encoder_cases() {
+            for ctx in contexts {
+                let frame = msg.encode_traced(ctx);
+                assert_eq!(frame, legacy_encode(&msg, ctx), "{msg:?} with {ctx:?}");
+                assert_eq!(frame.capacity(), frame.len(), "one exact-size buffer: {msg:?}");
+            }
         }
     }
 

@@ -22,6 +22,12 @@ pub fn write_u64(buf: &mut Vec<u8>, mut value: u64) {
     }
 }
 
+/// Bytes [`write_u64`] takes for `value`: one per started group of 7
+/// bits, and one for zero.
+pub(crate) fn encoded_len(value: u64) -> usize {
+    (64 - (value | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Reads an unsigned LEB128 varint, returning `(value, bytes_consumed)`.
 ///
 /// # Errors
@@ -95,6 +101,15 @@ mod tests {
             let (back, n) = read_u64(&buf).unwrap();
             assert_eq!(back, v);
             assert_eq!(n, buf.len());
+        }
+    }
+
+    #[test]
+    fn encoded_len_matches_write() {
+        for v in [0, 1, 127, 128, 16383, 16384, u32::MAX as u64, 1 << 62, u64::MAX] {
+            let mut buf = Vec::new();
+            write_u64(&mut buf, v);
+            assert_eq!(encoded_len(v), buf.len(), "{v}");
         }
     }
 

@@ -69,6 +69,26 @@ impl Writer {
         self.buf.extend_from_slice(v);
     }
 
+    /// One log record framed as [`crate::frame`] lays it out: `encode`
+    /// writes the payload in place, behind room for the length header,
+    /// and the CRC trailer follows it. Byte for byte what
+    /// [`crate::frame::encode_frame_into`] appends for the same payload.
+    ///
+    /// # Panics
+    ///
+    /// If the payload is longer than a `u32` length header can state.
+    pub fn put_framed(&mut self, encode: impl FnOnce(&mut Writer)) {
+        let payload_start = self.buf.len() + 4;
+        self.put_u32(0);
+        encode(self);
+        crate::frame::encode_frame_in_place(&mut self.buf, payload_start);
+    }
+
+    /// Empties the writer, keeping its capacity for the next use.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Consumes the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -164,14 +184,22 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(self.get_bytes()?).map_err(|_| ProtoError::InvalidUtf8)
     }
 
-    /// Length-prefixed vector of doubles.
+    /// Length-prefixed vector of doubles, decoded in one pass into a
+    /// vector of exactly its length.
     pub fn get_f64_seq(&mut self) -> Result<Vec<f64>, ProtoError> {
         let len = self.get_uvar()? as usize;
         // Guard against hostile lengths before allocating.
-        if len.saturating_mul(8) > self.remaining() {
-            return Err(ProtoError::UnexpectedEof { needed: len * 8 - self.remaining() });
+        let bytes = len.saturating_mul(8);
+        if bytes > self.remaining() {
+            return Err(ProtoError::UnexpectedEof { needed: bytes - self.remaining() });
         }
-        (0..len).map(|_| self.get_f64()).collect()
+        let mut out = Vec::with_capacity(len);
+        out.extend(
+            self.take(bytes)?
+                .chunks_exact(8)
+                .map(|b| f64::from_le_bytes(b.try_into().expect("chunk is 8 bytes"))),
+        );
+        Ok(out)
     }
 }
 
@@ -226,6 +254,46 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert!(matches!(r.get_f64_seq(), Err(ProtoError::UnexpectedEof { .. })));
+    }
+
+    #[test]
+    fn f64_seq_count_of_2_pow_61_is_rejected_without_allocating() {
+        // 2^61 doubles would be 2^64 bytes: the shortfall must saturate,
+        // not overflow, and nothing is allocated.
+        let mut w = Writer::new();
+        w.put_uvar(1 << 61);
+        w.put_raw(&[0, 0, 0]);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.get_f64_seq(), Err(ProtoError::UnexpectedEof { needed: usize::MAX - 3 }));
+    }
+
+    #[test]
+    fn decoded_f64_seqs_have_exact_capacity() {
+        for len in [0usize, 1, 3, 30, 120] {
+            let values: Vec<f64> = (0..len).map(|i| i as f64 * 0.5 - 3.0).collect();
+            let mut w = Writer::new();
+            w.put_f64_seq(&values);
+            let bytes = w.into_bytes();
+            let decoded = Reader::new(&bytes).get_f64_seq().unwrap();
+            assert_eq!(decoded, values);
+            assert_eq!(decoded.capacity(), decoded.len(), "{len} readings");
+        }
+    }
+
+    #[test]
+    fn framed_records_equal_encode_frame_into() {
+        let mut w = Writer::new();
+        let mut reference = Vec::new();
+        for payload in [b"".as_slice(), b"x", b"wal record"] {
+            w.put_framed(|w| w.put_raw(payload));
+            crate::frame::encode_frame_into(&mut reference, payload);
+        }
+        assert_eq!(w.as_slice(), reference);
+        w.clear();
+        assert!(w.is_empty());
+        w.put_framed(|w| w.put_u8(7));
+        assert_eq!(w.as_slice(), crate::frame::encode_frame(&[7]));
     }
 
     #[test]

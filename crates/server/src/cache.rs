@@ -14,6 +14,12 @@
 //! place names behind `Arc`s, so the returned copy shares them with the
 //! entry and owns only its app-id order.
 //!
+//! A miss does not assemble the category's feature matrix either, once
+//! one miss has: the matrix depends only on the category within an
+//! epoch, so the cache also keeps each category's assembled
+//! `SharedMatrix`, which every later miss of the epoch ranks against
+//! and which [`RankCache::clear`] drops with the rankings.
+//!
 //! Keys are a fingerprint over the category and the preference
 //! *payload* (target kind, target bits, weight bits). The profile's
 //! display name is deliberately excluded: "Alice" and "Bob" with the
@@ -22,12 +28,18 @@
 //! on lookup — a colliding key is a miss, never a wrong answer.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sor_core::ranking::PreferredValue;
+use sor_core::ranking::{FeatureMatrix, PreferredValue};
 use sor_core::UserPreferences;
 
 use crate::ranker::CategoryRanking;
+use crate::ServerError;
+
+/// A category's assembled feature matrix and the app id of each of its
+/// rows, shared by every rank miss of one features epoch.
+pub(crate) type SharedMatrix = (Arc<FeatureMatrix>, Arc<[u64]>);
 
 /// One cached ranking with everything needed to validate a hit.
 struct CacheEntry {
@@ -42,11 +54,16 @@ struct CacheEntry {
 #[derive(Default)]
 pub struct RankCache {
     entries: Mutex<HashMap<u64, CacheEntry>>,
+    /// Each category's matrix, assembled at its first miss of the epoch.
+    matrices: Mutex<HashMap<String, SharedMatrix>>,
 }
 
 impl std::fmt::Debug for RankCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RankCache").field("entries", &self.entries.lock().len()).finish()
+        f.debug_struct("RankCache")
+            .field("entries", &self.entries.lock().len())
+            .field("matrices", &self.matrices.lock().len())
+            .finish()
     }
 }
 
@@ -107,13 +124,36 @@ impl RankCache {
         );
     }
 
-    /// Drops every entry: the features epoch moved on, so none of them
-    /// is current any more.
-    pub fn clear(&self) {
-        self.entries.lock().clear();
+    /// The category's matrix for the current epoch, assembled with
+    /// `assemble` at the first call. An assembly error is returned and
+    /// not kept, so the next call assembles again.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `assemble` returns.
+    pub(crate) fn matrix(
+        &self,
+        category: &str,
+        assemble: impl FnOnce() -> Result<(FeatureMatrix, Vec<u64>), ServerError>,
+    ) -> Result<SharedMatrix, ServerError> {
+        let mut matrices = self.matrices.lock();
+        if let Some(shared) = matrices.get(category) {
+            return Ok(shared.clone());
+        }
+        let (matrix, ids) = assemble()?;
+        let shared: SharedMatrix = (Arc::new(matrix), ids.into());
+        matrices.insert(category.to_string(), shared.clone());
+        Ok(shared)
     }
 
-    /// Number of live entries (tests, reports).
+    /// Drops every entry and every matrix: the features epoch moved on,
+    /// so none of them is current any more.
+    pub fn clear(&self) {
+        self.entries.lock().clear();
+        self.matrices.lock().clear();
+    }
+
+    /// Number of live ranking entries (tests, reports).
     pub fn len(&self) -> usize {
         self.entries.lock().len()
     }
@@ -161,18 +201,45 @@ mod tests {
         );
     }
 
+    fn one_place_matrix() -> FeatureMatrix {
+        FeatureMatrix::new(
+            vec!["a".into()],
+            vec![sor_core::ranking::Feature::new("t", "")],
+            vec![vec![1.0]],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn matrices_are_kept_per_category_but_errors_are_not() {
+        let cache = RankCache::new();
+        let assembled = std::cell::Cell::new(0);
+        let assemble = || {
+            assembled.set(assembled.get() + 1);
+            Ok((one_place_matrix(), vec![1]))
+        };
+        let failing = || Err(ServerError::UnknownApplication(0));
+        assert!(cache.matrix("museum", failing).is_err());
+        let (a, ids) = cache.matrix("museum", assemble).unwrap();
+        assert_eq!(assembled.get(), 1, "a failed assembly is not kept");
+        assert_eq!(*ids, [1]);
+        let (b, _) = cache.matrix("museum", assemble).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        cache.matrix("cafe", assemble).unwrap();
+        assert_eq!(assembled.get(), 2, "one assembly per category");
+        cache.clear();
+        let (c, _) = cache.matrix("museum", assemble).unwrap();
+        assert!(!Arc::ptr_eq(&a, &c), "clear drops the matrices");
+        assert_eq!(assembled.get(), 3);
+    }
+
     #[test]
     fn stale_epoch_misses() {
         let cache = RankCache::new();
         let p = prefs(70.0, 3);
         let key = RankCache::fingerprint("cafe", &p);
         // A fabricated ranking is fine for cache plumbing tests.
-        let matrix = sor_core::ranking::FeatureMatrix::new(
-            vec!["a".into()],
-            vec![sor_core::ranking::Feature::new("t", "")],
-            vec![vec![1.0]],
-        )
-        .unwrap();
+        let matrix = one_place_matrix();
         let outcome = sor_core::ranking::PersonalizableRanker::new().rank(&matrix, &p).unwrap();
         let ranking = CategoryRanking {
             matrix: matrix.into(),

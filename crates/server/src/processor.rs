@@ -34,10 +34,6 @@ pub const RECORDS_TABLE: &str = "records";
 /// Feature-data table.
 pub const FEATURES_TABLE: &str = "features";
 
-/// Minimum inbox depth before the decode pass fans out to the worker
-/// pool (below this the scoped-spawn cost dominates).
-const PAR_DECODE_CUTOFF: usize = 16;
-
 /// What one inbox drain accomplished.
 #[derive(Debug, Clone, Copy)]
 pub struct InboxOutcome {
@@ -101,8 +97,10 @@ impl DataProcessor {
     }
 
     /// Stores an encoded upload frame in the inbox, untouched — the
-    /// Message Handler's fast path. `arrival` is the simulated receipt
-    /// time; the drain pass uses it to measure upload→commit latency.
+    /// Message Handler's fast path. The frame moves into the row, and a
+    /// durable database logs the row as stored, so the bytes are not
+    /// copied on the way. `arrival` is the simulated receipt time; the
+    /// drain pass uses it to measure upload→commit latency.
     ///
     /// # Errors
     ///
@@ -112,11 +110,11 @@ impl DataProcessor {
         db: &mut Database,
         app_id: u64,
         arrival: f64,
-        frame: &[u8],
+        frame: Vec<u8>,
     ) -> Result<(), ServerError> {
         db.insert(
             INBOX_TABLE,
-            vec![Value::Int(app_id as i64), Value::Float(arrival), Value::Bytes(frame.to_vec())],
+            vec![Value::Int(app_id as i64), Value::Float(arrival), Value::Bytes(frame)],
         )?;
         Ok(())
     }
@@ -143,8 +141,8 @@ impl DataProcessor {
     /// whose stored frame carries a [`sor_proto::TraceContext`] gets a
     /// `processor.commit` span hung off the handler span that enqueued
     /// it, and its upload→commit latency (arrival column to `now`) is
-    /// observed. Spans are created in inbox row order *after* the
-    /// parallel decode, so the trace is identical at any `SOR_THREADS`.
+    /// observed. Blobs are decoded from the borrowed inbox rows and
+    /// committed in inbox row order, on the calling thread.
     ///
     /// # Errors
     ///
@@ -156,29 +154,29 @@ impl DataProcessor {
         recorder: &Recorder,
         now: f64,
     ) -> Result<InboxOutcome, ServerError> {
-        let blobs = db.scan(INBOX_TABLE, &Predicate::True)?;
-        // Frame decode is pure CPU with no shared state, so the drain
-        // fans it out to the worker pool; the store commit below stays
-        // sequential in inbox row order, so record row ids, WAL
-        // ordering, span allocation and the feature-state fold are
-        // exactly what the sequential drain produces.
-        type Decoded = Option<(i64, f64, u64, Vec<sor_proto::SensedRecord>, Option<u64>, u64)>;
-        let decoded: Vec<Decoded> = sor_par::par_map_min(&blobs, PAR_DECODE_CUTOFF, |row| {
-            let app_id = row.values[0].as_int().expect("schema");
-            let arrival = row.values[1].as_float().expect("schema");
-            let body = row.values[2].as_bytes().expect("schema");
-            match Message::decode_traced(body) {
-                Ok((Message::SensedDataUpload { task_id, records }, ctx)) => Some((
-                    app_id,
-                    arrival,
-                    task_id,
-                    records,
-                    ctx.map(|c| c.parent_span),
-                    ctx.map_or(0, |c| c.trace_id),
-                )),
-                _ => None,
-            }
-        });
+        // Decode every blob straight from its borrowed row, in inbox row
+        // order; the records are inserted below, once the borrow ends.
+        // (Fanning the decode out to the worker pool lost to this loop
+        // on every measured workload.)
+        let decoded: Vec<_> = db
+            .table(INBOX_TABLE)?
+            .iter()
+            .map(|(_, row)| {
+                let app_id = row[0].as_int().expect("schema");
+                let arrival = row[1].as_float().expect("schema");
+                match Message::decode_traced(row[2].as_bytes().expect("schema")) {
+                    Ok((Message::SensedDataUpload { task_id, records }, ctx)) => Some((
+                        app_id,
+                        arrival,
+                        task_id,
+                        records,
+                        ctx.map(|c| c.parent_span),
+                        ctx.map_or(0, |c| c.trace_id),
+                    )),
+                    _ => None,
+                }
+            })
+            .collect();
         let mut outcome = InboxOutcome::default();
         for frame in decoded {
             let Some((app_id, arrival, task_id, records, parent, trace_id)) = frame else {
@@ -384,9 +382,9 @@ mod tests {
     fn inbox_to_records_pipeline() {
         let mut db = db();
         let p = DataProcessor;
-        p.enqueue_raw(&mut db, 1, 0.0, &upload(5, 7, vec![70.0, 71.0])).unwrap();
-        p.enqueue_raw(&mut db, 1, 0.0, &upload(5, 7, vec![72.0])).unwrap();
-        p.enqueue_raw(&mut db, 2, 0.0, &upload(6, 7, vec![60.0])).unwrap();
+        p.enqueue_raw(&mut db, 1, 0.0, upload(5, 7, vec![70.0, 71.0])).unwrap();
+        p.enqueue_raw(&mut db, 1, 0.0, upload(5, 7, vec![72.0])).unwrap();
+        p.enqueue_raw(&mut db, 2, 0.0, upload(6, 7, vec![60.0])).unwrap();
         let (stored, dropped) = p.process_inbox(&mut db, &mut FeatureState::new()).unwrap();
         assert_eq!((stored, dropped), (3, 0));
         // Inbox cleared.
@@ -403,10 +401,10 @@ mod tests {
     fn corrupt_blobs_are_dropped_not_fatal() {
         let mut db = db();
         let p = DataProcessor;
-        p.enqueue_raw(&mut db, 1, 0.0, b"garbage").unwrap();
-        p.enqueue_raw(&mut db, 1, 0.0, &upload(5, 7, vec![70.0])).unwrap();
+        p.enqueue_raw(&mut db, 1, 0.0, b"garbage".to_vec()).unwrap();
+        p.enqueue_raw(&mut db, 1, 0.0, upload(5, 7, vec![70.0])).unwrap();
         // A non-upload message in the inbox is also dropped.
-        p.enqueue_raw(&mut db, 1, 0.0, &Message::WakeUp { token: 1 }.encode()).unwrap();
+        p.enqueue_raw(&mut db, 1, 0.0, Message::WakeUp { token: 1 }.encode()).unwrap();
         let (stored, dropped) = p.process_inbox(&mut db, &mut FeatureState::new()).unwrap();
         assert_eq!((stored, dropped), (1, 2));
     }
@@ -417,7 +415,7 @@ mod tests {
         let p = DataProcessor;
         let mut state = FeatureState::new();
         let specs = [FeatureSpec::new("temp", "°F", Extractor::Mean { sensor: 7 }, 60.0)];
-        p.enqueue_raw(&mut db, 1, 0.0, &upload(5, 7, vec![70.0, 72.0])).unwrap();
+        p.enqueue_raw(&mut db, 1, 0.0, upload(5, 7, vec![70.0, 72.0])).unwrap();
         p.process_inbox(&mut db, &mut state).unwrap();
         // No state yet: the write rebuilds it from the records table.
         let failures = state.write_features(&mut db, 1, &specs).unwrap();
@@ -426,7 +424,7 @@ mod tests {
 
         // More data arrives; the drain folds it in and the write
         // replaces the value.
-        p.enqueue_raw(&mut db, 1, 0.0, &upload(5, 7, vec![80.0])).unwrap();
+        p.enqueue_raw(&mut db, 1, 0.0, upload(5, 7, vec![80.0])).unwrap();
         p.process_inbox(&mut db, &mut state).unwrap();
         state.write_features(&mut db, 1, &specs).unwrap();
         assert_eq!(p.feature_value(&db, 1, "temp").unwrap(), Some(74.0));
@@ -441,7 +439,7 @@ mod tests {
         let mut state = FeatureState::new();
         let good = FeatureSpec::new("temp", "°F", Extractor::Mean { sensor: 7 }, 60.0);
         let bad = FeatureSpec::new("noise", "", Extractor::Mean { sensor: 2 }, 20.0);
-        p.enqueue_raw(&mut db, 1, 0.0, &upload(5, 7, vec![70.0])).unwrap();
+        p.enqueue_raw(&mut db, 1, 0.0, upload(5, 7, vec![70.0])).unwrap();
         p.process_inbox(&mut db, &mut state).unwrap();
         let failures = state.write_features(&mut db, 1, &[good, bad]).unwrap();
         assert_eq!(failures.len(), 1);
@@ -459,11 +457,11 @@ mod tests {
         let p = DataProcessor;
         let mut state = FeatureState::new();
         let specs = [FeatureSpec::new("m", "", Extractor::Mean { sensor: 7 }, 60.0)];
-        p.enqueue_raw(&mut db, 1, 0.0, &upload(5, 7, vec![-0.0, -0.0])).unwrap();
+        p.enqueue_raw(&mut db, 1, 0.0, upload(5, 7, vec![-0.0, -0.0])).unwrap();
         p.process_inbox(&mut db, &mut state).unwrap();
         state.write_features(&mut db, 1, &specs).unwrap();
         // The second batch is folded into existing state, not rebuilt.
-        p.enqueue_raw(&mut db, 1, 0.0, &upload(5, 7, vec![-0.0])).unwrap();
+        p.enqueue_raw(&mut db, 1, 0.0, upload(5, 7, vec![-0.0])).unwrap();
         p.process_inbox(&mut db, &mut state).unwrap();
         state.write_features(&mut db, 1, &specs).unwrap();
         let oracle = specs[0].extract(&p.records_of(&db, 1).unwrap()).unwrap();

@@ -81,7 +81,10 @@ pub fn assemble_matrix(
     Ok((matrix, ids))
 }
 
-/// Runs the personalizable ranking for one user over one category.
+/// Runs the personalizable ranking for one user over one category: a
+/// fresh [`assemble_matrix`], then `rank_matrix`. The server's rank
+/// cache shares one assembled matrix among an epoch's misses; this is
+/// the one-shot path.
 ///
 /// # Errors
 ///
@@ -93,10 +96,24 @@ pub fn rank_category(
     prefs: &UserPreferences,
 ) -> Result<CategoryRanking, ServerError> {
     let (matrix, ids) = assemble_matrix(db, apps, category)?;
+    rank_matrix(Arc::new(matrix), &ids, prefs)
+}
+
+/// Runs Algorithm 2 for one user against an assembled matrix whose row
+/// `r` is application `ids[r]`. The ranking shares `matrix`.
+///
+/// # Errors
+///
+/// Ranking errors from `sor-core`.
+pub(crate) fn rank_matrix(
+    matrix: Arc<FeatureMatrix>,
+    ids: &[u64],
+    prefs: &UserPreferences,
+) -> Result<CategoryRanking, ServerError> {
     let outcome = PersonalizableRanker::new().rank(&matrix, prefs)?;
     let order = outcome.named_order(&matrix).into_iter().map(String::from).collect();
     let app_order = outcome.final_ranking.iter().map(|p| ids[p.0]).collect();
-    Ok(CategoryRanking { matrix: Arc::new(matrix), outcome: Arc::new(outcome), order, app_order })
+    Ok(CategoryRanking { matrix, outcome: Arc::new(outcome), order, app_order })
 }
 
 #[cfg(test)]
@@ -143,7 +160,7 @@ mod tests {
                 }],
             }
             .encode();
-            DataProcessor.enqueue_raw(&mut db, id, 0.0, &frame).unwrap();
+            DataProcessor.enqueue_raw(&mut db, id, 0.0, frame).unwrap();
         }
         let mut state = FeatureState::new();
         DataProcessor.process_inbox(&mut db, &mut state).unwrap();

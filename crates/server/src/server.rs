@@ -11,10 +11,10 @@ use sor_script::analysis::{analyze, CapabilitySet, DiagnosticCode};
 use sor_store::{ColumnType, Database, Predicate, Schema, Value};
 
 use crate::application::{ApplicationManager, ApplicationSpec};
-use crate::cache::RankCache;
+use crate::cache::{RankCache, SharedMatrix};
 use crate::participation::{ParticipantStatus, ParticipationManager};
 use crate::processor::{DataProcessor, FeatureState};
-use crate::ranker::{rank_category, CategoryRanking};
+use crate::ranker::{assemble_matrix, rank_matrix, CategoryRanking};
 use crate::scheduling::Scheduling;
 use crate::user_info::UserInfoManager;
 use crate::ServerError;
@@ -59,6 +59,10 @@ pub struct SensingServer {
     /// Tasks whose first upload has not arrived yet → their first
     /// planned sense time.
     pending_acks: BTreeMap<u64, f64>,
+    /// Each application's static-analysis verdict on its script (`Some`
+    /// is a rejection), computed at its first admission after each
+    /// registration and reused by every later one.
+    script_verdicts: BTreeMap<u64, Option<ScriptRejection>>,
     /// Tasks whose first upload was already measured (so a replan does
     /// not re-arm the ack timer).
     acked: std::collections::BTreeSet<u64>,
@@ -150,6 +154,7 @@ impl SensingServer {
             features_epoch: 0,
             ack_deadline: 120.0,
             pending_acks: BTreeMap::new(),
+            script_verdicts: BTreeMap::new(),
             acked: std::collections::BTreeSet::new(),
             planned: BTreeMap::new(),
             planned_past_retired: 0,
@@ -266,7 +271,9 @@ impl SensingServer {
     /// replan, so it keeps planning as if nothing had happened. It also
     /// advances the features epoch: a ranking reads the registry (place
     /// names, category membership, feature list), so no cached ranking
-    /// outlives a registration.
+    /// outlives a registration. It also drops the script's analysis
+    /// verdict: the script may have changed, and the next admission
+    /// analyzes it again, once.
     ///
     /// # Errors
     ///
@@ -278,6 +285,7 @@ impl SensingServer {
         // The feature list may have changed; the next pass rebuilds the
         // running state from the stored records.
         self.feature_state.forget(spec.app_id);
+        self.script_verdicts.remove(&spec.app_id);
         self.apps.register(spec);
         self.next_features_epoch();
         Ok(())
@@ -460,7 +468,7 @@ impl SensingServer {
                 // `processor.commit` hangs off *this* receipt, however
                 // long the blob sits in the inbox.
                 let stored = msg.encode_traced(ctx.map(|c| c.child(span.0)));
-                self.processor.enqueue_raw(self.db.db_mut(), app_id, self.now, &stored)?;
+                self.processor.enqueue_raw(self.db.db_mut(), app_id, self.now, stored)?;
                 Ok(Vec::new())
             }
             Message::TaskComplete { task_id, status } => {
@@ -501,21 +509,17 @@ impl SensingServer {
         // statically): a script with error-severity findings fails on
         // every phone, so the task is rejected now — before a user is
         // registered, a task slot is allocated, or the scheduler
-        // replans for an arrival that can never produce data.
-        let verdict = analyze(&app.script, &CapabilitySet::standard_sensing());
-        if verdict.has_errors() {
+        // replans for an arrival that can never produce data. A script
+        // cannot change until its application registers again, so the
+        // analysis runs once per registration.
+        let verdict =
+            self.script_verdicts.entry(app_id).or_insert_with(|| ScriptRejection::of(&app));
+        if let Some(rejection) = verdict {
             self.recorder.count("server.scripts_rejected", 1);
-            // Privacy policy: taint findings (a raw high-sensitivity
-            // sensor stream reaching the task's return sink) are
-            // tracked separately from plain broken scripts — they are
-            // the rejections §II-A's whitelist alone cannot catch.
-            if verdict.errors().any(|d| d.code == DiagnosticCode::TaintedReturn) {
+            if rejection.privacy {
                 self.recorder.count("server.scripts_rejected_privacy", 1);
             }
-            return Err(ServerError::ScriptRejected {
-                app_id,
-                report: verdict.render(&format!("app-{app_id}")),
-            });
+            return Err(ServerError::ScriptRejected { app_id, report: rejection.report.clone() });
         }
         self.recorder.count("server.admissions_accepted", 1);
         let user = self.users.register(self.db.db_mut(), token, "participant")?;
@@ -712,8 +716,9 @@ impl SensingServer {
     /// from the [`RankCache`] when neither the features table nor the
     /// registry has changed since the same (category, preferences)
     /// request was last computed: O(1), since the answer shares the
-    /// cached matrix, outcome and place names, instead of a full matrix
-    /// assembly + Algorithm 2 run.
+    /// cached matrix, outcome and place names, instead of an Algorithm 2
+    /// run. A miss runs Algorithm 2 against the category's matrix of the
+    /// current epoch, which only the epoch's first miss assembles.
     ///
     /// # Errors
     ///
@@ -734,7 +739,9 @@ impl SensingServer {
             }
             None => {
                 self.recorder.count("server.rank_cache_misses", 1);
-                let fresh = rank_category(self.db.db(), &self.apps, category, prefs);
+                let fresh = self
+                    .category_matrix(category)
+                    .and_then(|(matrix, ids)| rank_matrix(matrix, &ids, prefs));
                 if let Ok(ranking) = &fresh {
                     self.rank_cache.store(key, category, prefs, ranking.clone());
                 }
@@ -750,7 +757,8 @@ impl SensingServer {
 
     /// Ranks a batch of concurrent requests, fanning cache misses out
     /// to the worker pool (§IV-A serves "many users at once": each
-    /// request is an independent read of the features table). Results
+    /// request is an independent run of Algorithm 2 on its category's
+    /// shared matrix, see [`SensingServer::rank`]). Results
     /// come back in request order; cache hits are answered inline and
     /// fresh results are cached for the current features epoch. Each
     /// miss gets a `server.rank_request` span allocated sequentially in
@@ -783,26 +791,26 @@ impl SensingServer {
         // Per-miss spans are allocated here, sequentially, so ids are
         // deterministic; workers only annotate their own span (and bump
         // order-free counters), so traces and metrics stay identical at
-        // any SOR_THREADS.
-        let jobs: Vec<(SpanId, usize)> = misses
+        // any SOR_THREADS. Each category's matrix is fetched here too (or
+        // assembled, at its first miss of the epoch), before the fan-out.
+        let jobs: Vec<(SpanId, usize, Result<SharedMatrix, ServerError>)> = misses
             .iter()
             .map(|&k| {
                 let s = self.recorder.span_start_with_parent("server.rank_request", self.now, span);
                 self.recorder.span_attr(s, "category", requests[k].0);
-                (s, k)
+                (s, k, self.category_matrix(requests[k].0))
             })
             .collect();
-        let db = self.db.db();
-        let apps = &self.apps;
         let recorder = &self.recorder;
         let computed: Vec<Result<CategoryRanking, ServerError>> =
-            sor_par::par_map_min(&jobs, 2, |&(request_span, k)| {
-                let (category, prefs) = &requests[k];
-                let res = rank_category(db, apps, category, prefs);
-                recorder.span_attr_with(request_span, "ok", || res.is_ok().to_string());
+            sor_par::par_map_min(&jobs, 2, |(request_span, k, shared)| {
+                let res = shared
+                    .clone()
+                    .and_then(|(matrix, ids)| rank_matrix(matrix, &ids, requests[*k].1));
+                recorder.span_attr_with(*request_span, "ok", || res.is_ok().to_string());
                 res
             });
-        for (&(request_span, k), res) in jobs.iter().zip(computed) {
+        for (&(request_span, k, _), res) in jobs.iter().zip(computed) {
             self.recorder.span_end(request_span, self.now);
             if let Ok(ranking) = &res {
                 let (category, prefs) = &requests[k];
@@ -818,6 +826,12 @@ impl SensingServer {
         self.recorder.count("server.rank_places_scored", scored);
         self.recorder.span_end(span, self.now);
         out
+    }
+
+    /// The category's feature matrix for the current features epoch:
+    /// the one the rank cache holds, or a fresh assembly it then keeps.
+    fn category_matrix(&self, category: &str) -> Result<SharedMatrix, ServerError> {
+        self.rank_cache.matrix(category, || assemble_matrix(self.db.db(), &self.apps, category))
     }
 
     /// The current features epoch (bumped by every processor pass and
@@ -888,6 +902,30 @@ impl SensingServer {
     }
 }
 
+/// The static analyzer's verdict on a rejected application script.
+#[derive(Debug)]
+struct ScriptRejection {
+    /// The rendered diagnostics, positioned in `app-<id>`.
+    report: String,
+    /// Whether a finding is a taint finding (a raw high-sensitivity
+    /// sensor stream reaching the task's return sink): the privacy
+    /// rejections §II-A's whitelist alone cannot catch, counted
+    /// separately from plain broken scripts.
+    privacy: bool,
+}
+
+impl ScriptRejection {
+    /// Analyzes the application's script: `None` when it has no
+    /// error-severity finding.
+    fn of(spec: &ApplicationSpec) -> Option<Self> {
+        let verdict = analyze(&spec.script, &CapabilitySet::standard_sensing());
+        verdict.has_errors().then(|| ScriptRejection {
+            report: verdict.render(&format!("app-{}", spec.app_id)),
+            privacy: verdict.errors().any(|d| d.code == DiagnosticCode::TaintedReturn),
+        })
+    }
+}
+
 /// Stable label for per-message-type counters and span attributes.
 fn message_kind(msg: &Message) -> &'static str {
     match msg {
@@ -921,6 +959,7 @@ mod tests {
 
     use super::*;
     use crate::feature::{Extractor, FeatureSpec};
+    use crate::ranker::rank_category;
     use sor_proto::SensedRecord;
     use sor_sensors::SensorKind;
 
@@ -1001,26 +1040,41 @@ mod tests {
     #[test]
     fn forbidden_script_rejected_at_admission() {
         let mut s = SensingServer::new().unwrap();
+        let rec = Recorder::enabled();
+        s.set_recorder(rec.clone());
         let mut app = cafe_app(1, "rogue cafe");
         app.script = "steal_contacts()".into();
         s.register_application(app).unwrap();
-        let err = s
-            .handle_message(&Message::ParticipationRequest {
-                token: 7,
-                app_id: 1,
-                latitude: 43.0501,
-                longitude: -76.1501,
-                budget: 5,
-                stay_seconds: 1800.0,
-            })
-            .unwrap_err();
-        let ServerError::ScriptRejected { app_id, report } = &err else { panic!("{err:?}") };
-        assert_eq!(*app_id, 1);
-        assert!(report.contains("non-whitelisted"), "{report}");
+        // The verdict is computed once per registration; every admission
+        // gets the same rejection and is counted.
+        let mut reports = Vec::new();
+        for token in [7, 8] {
+            let err = s
+                .handle_message(&Message::ParticipationRequest {
+                    token,
+                    app_id: 1,
+                    latitude: 43.0501,
+                    longitude: -76.1501,
+                    budget: 5,
+                    stay_seconds: 1800.0,
+                })
+                .unwrap_err();
+            let ServerError::ScriptRejected { app_id, report } = err else { panic!("{err:?}") };
+            assert_eq!(app_id, 1);
+            assert!(report.contains("non-whitelisted"), "{report}");
+            reports.push(report);
+        }
+        assert_eq!(reports[0], reports[1], "every admission gets the same report");
+        assert_eq!(rec.counter("server.scripts_rejected"), 2);
+        assert_eq!(rec.counter("server.scripts_rejected_privacy"), 0);
         // Rejected before any admission side effect: no task exists
         // and nothing was scheduled or distributed.
         assert!(s.participation().task(0).is_none());
         assert!(s.stored_schedule(0).unwrap().is_empty());
+        // Re-registering with a clean script clears the verdict.
+        s.register_application(cafe_app(1, "reformed cafe")).unwrap();
+        assert!(!join(&mut s, 9, 5).is_empty());
+        assert_eq!(rec.counter("server.scripts_rejected"), 2);
     }
 
     #[test]
@@ -1056,6 +1110,20 @@ mod tests {
         assert!(report.contains("read at 1:31"), "source position expected: {report}");
         assert_eq!(rec.counter("server.scripts_rejected_privacy"), 1);
         assert!(s.participation().task(0).is_none());
+        // A second admission gets the same report and is counted again.
+        let again = s
+            .handle_message(&Message::ParticipationRequest {
+                token: 9,
+                app_id: 1,
+                latitude: 43.0501,
+                longitude: -76.1501,
+                budget: 5,
+                stay_seconds: 1800.0,
+            })
+            .unwrap_err();
+        assert_eq!(again, err);
+        assert_eq!(rec.counter("server.scripts_rejected"), 2);
+        assert_eq!(rec.counter("server.scripts_rejected_privacy"), 2);
 
         let replies = s
             .handle_message(&Message::ParticipationRequest {
@@ -1479,6 +1547,33 @@ mod tests {
             assert_eq!(hit.order, fresh.order);
             assert_eq!(hit.app_order, fresh.app_order);
         }
+    }
+
+    #[test]
+    fn rank_misses_share_one_matrix_per_epoch() {
+        let mut s = two_cafe_server();
+        let prefs = |t| UserPreferences::new("u", vec![sor_core::ranking::Preference::value(t, 5)]);
+        let (cold, warm, mild) = (prefs(60.0), prefs(80.0), prefs(70.0));
+        let first = s.rank("coffee-shop", &cold).unwrap();
+        let second = s.rank("coffee-shop", &warm).unwrap();
+        let batch = s.rank_many(&[("coffee-shop", &mild), ("museum", &mild)]);
+        assert!(batch[1].is_err(), "an empty category still errors");
+        let third = batch[0].as_ref().unwrap();
+        assert!(Arc::ptr_eq(&first.matrix, &second.matrix), "two misses share the matrix");
+        assert!(Arc::ptr_eq(&first.matrix, &third.matrix), "rank_many shares it too");
+        for (ranking, p) in [(&first, &cold), (&second, &warm), (third, &mild)] {
+            let fresh = rank_category(s.database(), s.applications(), "coffee-shop", p).unwrap();
+            assert_eq!(*ranking.matrix, *fresh.matrix);
+            assert_eq!(*ranking.outcome, *fresh.outcome);
+            assert_eq!(ranking.order, fresh.order);
+            assert_eq!(ranking.app_order, fresh.app_order);
+        }
+        s.process_data().unwrap();
+        let next = s.rank("coffee-shop", &cold).unwrap();
+        assert!(!Arc::ptr_eq(&next.matrix, &first.matrix), "a new epoch assembles a new matrix");
+        let fresh = rank_category(s.database(), s.applications(), "coffee-shop", &cold).unwrap();
+        assert_eq!(*next.matrix, *fresh.matrix);
+        assert_eq!(next.app_order, fresh.app_order);
     }
 
     #[test]

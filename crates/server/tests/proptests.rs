@@ -199,7 +199,7 @@ proptest! {
         let mut expected = 0usize;
         for (i, batch) in batches.iter().enumerate() {
             if garbage_positions.get(i).copied().unwrap_or(false) {
-                p.enqueue_raw(&mut db, 1, 0.0, b"not a frame").unwrap();
+                p.enqueue_raw(&mut db, 1, 0.0, b"not a frame".to_vec()).unwrap();
             }
             let records: Vec<SensedRecord> = batch
                 .iter()
@@ -212,7 +212,7 @@ proptest! {
                 .collect();
             expected += records.len();
             let frame = Message::SensedDataUpload { task_id: 1, records }.encode();
-            p.enqueue_raw(&mut db, 1, 0.0, &frame).unwrap();
+            p.enqueue_raw(&mut db, 1, 0.0, frame).unwrap();
         }
         let mut state = FeatureState::new();
         let (stored, _dropped) = p.process_inbox(&mut db, &mut state).unwrap();

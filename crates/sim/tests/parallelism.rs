@@ -37,8 +37,8 @@ fn traced_field_test_is_identical_at_one_and_eight_workers() {
 
 #[test]
 fn untraced_field_test_outcome_is_identical_at_one_and_eight_workers() {
-    // Untraced, the worker count still drives inbox decode, `rank_many`,
-    // the ranker columns and the lazy-greedy first round.
+    // Untraced, the worker count still drives `rank_many`, the ranker
+    // columns and the lazy-greedy first round.
     let run = |threads| {
         sor_par::with_threads(threads, || {
             let outcome = run_coffee_field_test(FieldTestConfig::quick(11)).unwrap();

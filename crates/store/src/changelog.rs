@@ -8,6 +8,13 @@
 //! `sor_obs::Recorder`) that a durability layer attaches to a database;
 //! the default handle is disabled and costs one branch per mutation.
 //!
+//! The handle does not keep `LogOp` values. It encodes each mutation
+//! straight from the facade's borrowed arguments (an insert from the
+//! row just stored) into one reused buffer of write-ahead-log records,
+//! each already framed as [`sor_proto::frame`] lays it out: the bytes a
+//! commit appends are the buffer itself. [`LogOp::decode`] reads each
+//! record's payload back.
+//!
 //! The ops are deliberately physical about *identity* (row ids, not
 //! predicates): replaying `Delete { row_ids }` does not depend on scan
 //! order or predicate evaluation, so a recovered database is
@@ -19,6 +26,7 @@ use sor_proto::wire::{Reader, Writer};
 use sor_proto::ProtoError;
 
 use crate::schema::{Column, ColumnType, Schema};
+use crate::table::RowId;
 use crate::value::Value;
 use crate::StoreError;
 
@@ -73,42 +81,11 @@ impl LogOp {
     /// Appends the encoded op to an existing writer.
     pub fn encode_into(&self, w: &mut Writer) {
         match self {
-            LogOp::CreateTable(schema) => {
-                w.put_u8(TAG_CREATE_TABLE);
-                w.put_str(schema.name());
-                w.put_uvar(schema.columns().len() as u64);
-                for c in schema.columns() {
-                    w.put_str(&c.name);
-                    w.put_u8(c.ty.wire_tag());
-                    w.put_u8(c.nullable as u8);
-                }
-            }
-            LogOp::DropTable(name) => {
-                w.put_u8(TAG_DROP_TABLE);
-                w.put_str(name);
-            }
-            LogOp::CreateIndex { table, column } => {
-                w.put_u8(TAG_CREATE_INDEX);
-                w.put_str(table);
-                w.put_str(column);
-            }
-            LogOp::Insert { table, row_id, values } => {
-                w.put_u8(TAG_INSERT);
-                w.put_str(table);
-                w.put_uvar(*row_id);
-                w.put_uvar(values.len() as u64);
-                for v in values {
-                    v.encode_into(w);
-                }
-            }
-            LogOp::Delete { table, row_ids } => {
-                w.put_u8(TAG_DELETE);
-                w.put_str(table);
-                w.put_uvar(row_ids.len() as u64);
-                for &id in row_ids {
-                    w.put_uvar(id);
-                }
-            }
+            LogOp::CreateTable(schema) => put_create_table(w, schema),
+            LogOp::DropTable(name) => put_drop_table(w, name),
+            LogOp::CreateIndex { table, column } => put_create_index(w, table, column),
+            LogOp::Insert { table, row_id, values } => put_insert(w, table, *row_id, values),
+            LogOp::Delete { table, row_ids } => put_delete(w, table, row_ids.iter().copied()),
         }
     }
 
@@ -198,20 +175,72 @@ impl LogOp {
     }
 }
 
+fn put_create_table(w: &mut Writer, schema: &Schema) {
+    w.put_u8(TAG_CREATE_TABLE);
+    w.put_str(schema.name());
+    w.put_uvar(schema.columns().len() as u64);
+    for c in schema.columns() {
+        w.put_str(&c.name);
+        w.put_u8(c.ty.wire_tag());
+        w.put_u8(c.nullable as u8);
+    }
+}
+
+fn put_drop_table(w: &mut Writer, name: &str) {
+    w.put_u8(TAG_DROP_TABLE);
+    w.put_str(name);
+}
+
+fn put_create_index(w: &mut Writer, table: &str, column: &str) {
+    w.put_u8(TAG_CREATE_INDEX);
+    w.put_str(table);
+    w.put_str(column);
+}
+
+fn put_insert(w: &mut Writer, table: &str, row_id: u64, values: &[Value]) {
+    w.put_u8(TAG_INSERT);
+    w.put_str(table);
+    w.put_uvar(row_id);
+    w.put_uvar(values.len() as u64);
+    for v in values {
+        v.encode_into(w);
+    }
+}
+
+fn put_delete(w: &mut Writer, table: &str, row_ids: impl ExactSizeIterator<Item = u64>) {
+    w.put_u8(TAG_DELETE);
+    w.put_str(table);
+    w.put_uvar(row_ids.len() as u64);
+    for id in row_ids {
+        w.put_uvar(id);
+    }
+}
+
+/// Framed log records captured since the last drain.
+#[derive(Debug, Default)]
+struct Captured {
+    /// `[u32 len][payload][u32 CRC]` records, back to back.
+    records: Writer,
+    /// How many records `records` holds.
+    count: usize,
+}
+
 /// Cloneable capture handle for [`LogOp`]s.
 ///
-/// All clones share one buffer; the durability layer drains it at
-/// commit points. The default handle is disabled: mutations pay one
-/// branch and capture nothing.
+/// All clones share one buffer of framed log records; the durability
+/// layer drains it at commit points. The default handle is disabled:
+/// mutations pay one branch and capture nothing. Each capture method
+/// records the op its name gives, encoded as [`LogOp::encode`] would
+/// encode it.
 #[derive(Debug, Clone, Default)]
 pub struct ChangeLog {
-    inner: Option<Arc<Mutex<Vec<LogOp>>>>,
+    inner: Option<Arc<Mutex<Captured>>>,
 }
 
 impl ChangeLog {
     /// A capturing handle with an empty buffer.
     pub fn enabled() -> Self {
-        ChangeLog { inner: Some(Arc::new(Mutex::new(Vec::new()))) }
+        ChangeLog { inner: Some(Arc::new(Mutex::new(Captured::default()))) }
     }
 
     /// The no-op sink (the default).
@@ -224,25 +253,77 @@ impl ChangeLog {
         self.inner.is_some()
     }
 
-    /// Records one op (no-op when disabled).
-    pub fn push(&self, op: LogOp) {
+    /// Frames one record whose payload `encode` writes, behind those
+    /// already captured (no-op when disabled).
+    fn capture(&self, encode: impl FnOnce(&mut Writer)) {
         if let Some(inner) = &self.inner {
-            inner.lock().expect("changelog poisoned").push(op);
+            let mut captured = inner.lock().expect("changelog poisoned");
+            captured.records.put_framed(encode);
+            captured.count += 1;
         }
     }
 
-    /// Takes every captured op, leaving the buffer empty.
-    pub fn drain(&self) -> Vec<LogOp> {
+    /// Records [`LogOp::CreateTable`].
+    pub(crate) fn create_table(&self, schema: &Schema) {
+        self.capture(|w| put_create_table(w, schema));
+    }
+
+    /// Records [`LogOp::DropTable`].
+    pub(crate) fn drop_table(&self, name: &str) {
+        self.capture(|w| put_drop_table(w, name));
+    }
+
+    /// Records [`LogOp::CreateIndex`].
+    pub(crate) fn create_index(&self, table: &str, column: &str) {
+        self.capture(|w| put_create_index(w, table, column));
+    }
+
+    /// Records [`LogOp::Insert`].
+    pub(crate) fn insert(&self, table: &str, row_id: RowId, values: &[Value]) {
+        self.capture(|w| put_insert(w, table, row_id.0, values));
+    }
+
+    /// Records [`LogOp::Delete`].
+    pub(crate) fn delete(&self, table: &str, row_ids: &[RowId]) {
+        self.capture(|w| put_delete(w, table, row_ids.iter().map(|id| id.0)));
+    }
+
+    /// Hands `f` the captured records, framed back to back, and their
+    /// count, then empties the buffer, keeping its capacity for the
+    /// next commit. A disabled handle hands over nothing.
+    pub fn drain_with<R>(&self, f: impl FnOnce(&[u8], usize) -> R) -> R {
         match &self.inner {
-            Some(inner) => std::mem::take(&mut *inner.lock().expect("changelog poisoned")),
-            None => Vec::new(),
+            Some(inner) => {
+                let mut captured = inner.lock().expect("changelog poisoned");
+                let out = f(captured.records.as_slice(), captured.count);
+                captured.records.clear();
+                captured.count = 0;
+                out
+            }
+            None => f(&[], 0),
         }
+    }
+
+    /// Discards every captured record, keeping the buffer's capacity.
+    pub fn clear(&self) {
+        self.drain_with(|_, _| ());
     }
 
     /// Number of captured ops not yet drained.
     pub fn pending(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.lock().expect("changelog poisoned").len())
+        self.inner.as_ref().map_or(0, |i| i.lock().expect("changelog poisoned").count)
     }
+}
+
+/// The ops in a buffer of framed records, decoded (tests).
+#[cfg(test)]
+pub(crate) fn decode_records(records: &[u8]) -> Vec<LogOp> {
+    let mut scanner = sor_proto::frame::FrameScanner::new(records);
+    let mut ops = Vec::new();
+    while let Some(payload) = scanner.next_frame() {
+        ops.push(LogOp::decode(payload.expect("intact frame")).expect("a log record"));
+    }
+    ops
 }
 
 #[cfg(test)]
@@ -315,20 +396,50 @@ mod tests {
     fn changelog_captures_and_drains() {
         let log = ChangeLog::enabled();
         let clone = log.clone();
-        log.push(LogOp::DropTable("a".into()));
-        clone.push(LogOp::DropTable("b".into()));
+        log.drop_table("a");
+        clone.drop_table("b");
         assert_eq!(log.pending(), 2);
-        let drained = log.drain();
-        assert_eq!(drained.len(), 2);
+        let (drained, count) = log.drain_with(|records, count| (decode_records(records), count));
+        assert_eq!(count, 2);
+        assert_eq!(drained, vec![LogOp::DropTable("a".into()), LogOp::DropTable("b".into())]);
         assert_eq!(clone.pending(), 0, "clones share the buffer");
+        assert!(clone.drain_with(|records, _| records.is_empty()), "a drain empties it");
+    }
+
+    #[test]
+    fn captured_records_are_the_framed_encodings() {
+        let log = ChangeLog::enabled();
+        let ops = ops();
+        for op in &ops {
+            match op {
+                LogOp::CreateTable(schema) => log.create_table(schema),
+                LogOp::DropTable(name) => log.drop_table(name),
+                LogOp::CreateIndex { table, column } => log.create_index(table, column),
+                LogOp::Insert { table, row_id, values } => {
+                    log.insert(table, RowId(*row_id), values)
+                }
+                LogOp::Delete { table, row_ids } => {
+                    let ids: Vec<RowId> = row_ids.iter().map(|&id| RowId(id)).collect();
+                    log.delete(table, &ids)
+                }
+            }
+        }
+        let mut expect = Vec::new();
+        for op in &ops {
+            sor_proto::frame::encode_frame_into(&mut expect, &op.encode());
+        }
+        log.drain_with(|records, count| {
+            assert_eq!(records, expect);
+            assert_eq!(count, ops.len());
+        });
     }
 
     #[test]
     fn disabled_changelog_is_inert() {
         let log = ChangeLog::disabled();
-        log.push(LogOp::DropTable("a".into()));
+        log.drop_table("a");
         assert_eq!(log.pending(), 0);
-        assert!(log.drain().is_empty());
+        assert!(log.drain_with(|records, count| records.is_empty() && count == 0));
         assert!(!ChangeLog::default().is_enabled());
     }
 }

@@ -42,9 +42,10 @@ impl Database {
     }
 
     /// Attaches a change log. Every mutation that goes through this
-    /// facade is captured as a [`LogOp`]; the durability layer drains
-    /// the buffer at commit points and appends it to its write-ahead
-    /// log. The default handle is disabled (one branch per mutation).
+    /// facade is captured as a framed [`LogOp`] record; the durability
+    /// layer drains the buffer at commit points and appends it to its
+    /// write-ahead log. The default handle is disabled (one branch per
+    /// mutation).
     ///
     /// Mutations through [`Database::table_mut`] bypass capture — a
     /// durable deployment must mutate through the facade only.
@@ -62,9 +63,7 @@ impl Database {
         if self.tables.contains_key(&name) {
             return Err(StoreError::DuplicateTable(name));
         }
-        if self.changelog.is_enabled() {
-            self.changelog.push(LogOp::CreateTable(schema.clone()));
-        }
+        self.changelog.create_table(&schema);
         self.tables.insert(name, Table::new(schema));
         Ok(())
     }
@@ -73,7 +72,7 @@ impl Database {
     pub fn drop_table(&mut self, name: &str) -> bool {
         let existed = self.tables.remove(name).is_some();
         if existed {
-            self.changelog.push(LogOp::DropTable(name.to_string()));
+            self.changelog.drop_table(name);
         }
         existed
     }
@@ -87,8 +86,7 @@ impl Database {
     /// Unknown table/column, unindexable type, duplicate index.
     pub fn create_index(&mut self, table: &str, column: &str) -> Result<(), StoreError> {
         self.table_mut(table)?.create_index(column)?;
-        self.changelog
-            .push(LogOp::CreateIndex { table: table.to_string(), column: column.to_string() });
+        self.changelog.create_index(table, column);
         Ok(())
     }
 
@@ -121,13 +119,12 @@ impl Database {
     ///
     /// Unknown table or schema mismatch.
     pub fn insert(&mut self, table: &str, values: Vec<Value>) -> Result<RowId, StoreError> {
-        let id = if self.changelog.is_enabled() {
-            let id = self.table_mut(table)?.insert(values.clone())?;
-            self.changelog.push(LogOp::Insert { table: table.to_string(), row_id: id.0, values });
-            id
-        } else {
-            self.table_mut(table)?.insert(values)?
-        };
+        let t = self.tables.get_mut(table).ok_or_else(|| StoreError::UnknownTable(table.into()))?;
+        let id = t.insert(values)?;
+        if self.changelog.is_enabled() {
+            // Logged from the row as stored: the values are not copied.
+            self.changelog.insert(table, id, t.row_values(id).expect("row just stored"));
+        }
         self.recorder.count_labeled("store.rows_inserted", table, 1);
         Ok(id)
     }
@@ -156,10 +153,7 @@ impl Database {
         let gone = self.table_mut(table)?.delete_where(pred)?;
         let n = gone.len();
         if n > 0 {
-            self.changelog.push(LogOp::Delete {
-                table: table.to_string(),
-                row_ids: gone.iter().map(|id| id.0).collect(),
-            });
+            self.changelog.delete(table, &gone);
         }
         self.recorder.count_labeled("store.rows_deleted", table, n as u64);
         Ok(n)
@@ -343,6 +337,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::changelog::decode_records;
 
     fn sample_db() -> Database {
         let mut db = Database::new();
@@ -576,7 +571,7 @@ mod tests {
         let id = db.insert("t", vec![Value::Int(5)]).unwrap();
         db.delete_where("t", &Predicate::eq("id", Value::Int(5))).unwrap();
         db.drop_table("t");
-        let ops = log.drain();
+        let ops = log.drain_with(|records, _| decode_records(records));
         assert_eq!(ops.len(), 5);
         assert!(matches!(&ops[0], LogOp::CreateTable(s) if s.name() == "t"));
         assert!(matches!(&ops[1], LogOp::CreateIndex { column, .. } if column == "id"));
@@ -585,7 +580,7 @@ mod tests {
         assert!(matches!(&ops[4], LogOp::DropTable(n) if n == "t"));
         // Failed mutations are not captured.
         assert!(db.insert("ghost", vec![]).is_err());
-        assert!(log.drain().is_empty());
+        assert_eq!(log.pending(), 0);
     }
 
     #[test]
@@ -606,7 +601,7 @@ mod tests {
         db.insert("t", vec![Value::Int(99), Value::text("c")]).unwrap();
 
         let mut replayed = Database::new();
-        for op in log.drain() {
+        for op in log.drain_with(|records, _| decode_records(records)) {
             replayed.apply_op(&op).unwrap();
         }
         assert_eq!(replayed.snapshot(), db.snapshot(), "replay is bit-exact");

@@ -237,6 +237,11 @@ impl Table {
         self.indexes.get(&col)?.lookup(value)
     }
 
+    /// Borrows one row's values by id.
+    pub(crate) fn row_values(&self, id: RowId) -> Option<&[Value]> {
+        self.rows.get(&id).map(Vec::as_slice)
+    }
+
     /// Fetches one row by id.
     pub fn get(&self, id: RowId) -> Option<Row> {
         self.rows.get(&id).map(|values| Row { id, values: values.clone() })
